@@ -28,7 +28,7 @@ from .dynamics import (
     fit_recurrence_time,
     fit_relaxation_time,
 )
-from .errors import ConfigError, NoOscillation, PTSimError
+from .errors import CompileFailed, ConfigError, NoOscillation, PTSimError
 from .models import Family, HamiltonianSpec, build_hamiltonian, classify_regime
 from .qcore import mat_exp, partial_trace, polarization_ket, pure_state, trace_distance, von_neumann_entropy
 from .tomography import born_probabilities, mle_reconstruct, simulate_counts, standard_bases
@@ -442,16 +442,10 @@ def _run_compile(run, ns, seed, out):
         sys.stdout.write(record)
         dest = "stdout"
     if not sol.success:
-        raise _CompileFailure(sol.residual, dest)
-    return f"variant={sol.variant.value} residual={sol.residual:.3g} -> {dest}"
-
-
-class _CompileFailure(PTSimError):
-    def __init__(self, residual, dest):
-        self.residual = residual
-        super().__init__(
-            f"CompileFailed: best residual {residual:.6g} (record written to {dest})"
+        raise CompileFailed(
+            sol.residual, f"best residual {sol.residual:.6g} (record written to {dest})"
         )
+    return f"variant={sol.variant.value} residual={sol.residual:.3g} -> {dest}"
 
 
 _RUNNERS = {
@@ -583,7 +577,7 @@ def main(argv=None) -> int:
         json.dump({"error": "ConfigError", "violations": exc.violations}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except _CompileFailure as exc:
+    except CompileFailed as exc:
         json.dump({"error": "CompileFailed", "residual": exc.residual}, sys.stderr)
         sys.stderr.write("\n")
         return 1

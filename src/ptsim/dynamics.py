@@ -57,11 +57,23 @@ def evolve(spec: HamiltonianSpec, rho0, t: float) -> np.ndarray:
         raise ValueError(f"t must be >= 0, got {t!r}")
     rho0 = as_density_matrix(rho0)
     U = mat_exp(build_hamiltonian(spec), t)
-    m = U @ rho0 @ U.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return as_density_matrix(_normalized_evolution(U, rho0, t))
+
+
+def _normalized_evolution(U, rho, t):
+    """U rho U^dag / Tr[U rho U^dag]; callers silence the overflow warnings."""
+    m = U @ rho @ U.conj().T
     tr = np.trace(m).real
+    if not np.isfinite(tr) and np.all(np.isfinite(U)):
+        # an amplified state overflows U rho U^dag while U is still finite;
+        # the trace normalization makes rescaling U exact
+        U = U / np.abs(U).max()
+        m = U @ rho @ U.conj().T
+        tr = np.trace(m).real
     if not np.isfinite(tr) or tr <= TRACE_FLOOR:
         raise StateAnnihilated(f"normalization trace {tr!r} at t = {t}")
-    return as_density_matrix(m / tr)
+    return m / tr
 
 
 def distinguishability_series(spec: HamiltonianSpec, rho1, rho2, times) -> TimeSeries:
@@ -71,16 +83,12 @@ def distinguishability_series(spec: HamiltonianSpec, rho1, rho2, times) -> TimeS
     H = build_hamiltonian(spec)
     ts = np.asarray(times, dtype=float)
     vals = np.empty(len(ts))
-    for i, t in enumerate(ts):
-        U = mat_exp(H, t)
-        pair = []
-        for rho in (rho1, rho2):
-            m = U @ rho @ U.conj().T
-            tr = np.trace(m).real
-            if not np.isfinite(tr) or tr <= TRACE_FLOOR:
-                raise StateAnnihilated(f"normalization trace {tr!r} at t = {t}")
-            pair.append(m / tr)
-        vals[i] = trace_distance(pair[0], pair[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, t in enumerate(ts):
+            U = mat_exp(H, t)
+            vals[i] = trace_distance(
+                _normalized_evolution(U, rho1, t), _normalized_evolution(U, rho2, t)
+            )
     label = f"D(t) {spec.family.value} a={spec.a:g}"
     if spec.family.value == "nosym":
         label += f" c={spec.c:g}"

@@ -8,7 +8,7 @@ ordering is ancilla (x) system: |u,H>, |u,V>, |d,H>, |d,V>.
 
 import numpy as np
 
-from .errors import PostselectionImpossible
+from .errors import InvalidDensityMatrix, PostselectionImpossible
 from .models import Family, HamiltonianSpec, build_hamiltonian, metric_eta, normalization_c
 from .qcore import (
     ID2,
@@ -117,6 +117,7 @@ def mutual_information_series(a: float, chi, times) -> TimeSeries:
         s_sys = von_neumann_entropy(partial_trace(rho, "system"))
         s_anc = von_neumann_entropy(partial_trace(rho, "ancilla"))
         s_tot = von_neumann_entropy(rho)
-        assert s_tot < _PURITY_TOL, f"total state not pure: S_tot = {s_tot:.3e}"
+        if not s_tot < _PURITY_TOL:
+            raise InvalidDensityMatrix(f"total state not pure: S_tot = {s_tot:.3e}")
         vals[i] = s_sys + s_anc - s_tot
     return TimeSeries(times=ts, values=vals, label=f"I(t) a={a:g}")

@@ -134,6 +134,19 @@ class TestCompile:
         ])
         assert code == 0
 
+    def test_two_qubit_embedded_target(self, tmp_path):
+        out = tmp_path / "angles.txt"
+        code = main([
+            "compile", "--variant", "two-qubit", "--family", "embedded",
+            "--a", "0.5", "--t", "0.5", "--seed", "2", "--out", str(out),
+        ])
+        assert code == 0
+        record = dict(
+            line.split(" = ", 1) for line in out.read_text().strip().splitlines()
+        )
+        assert record["success"] == "true"
+        assert float(record["residual"]) < 1e-6
+
     def test_failure_reports_residual(self, tmp_path, capsys):
         # an unreachable target at a starved budget: failure is reported
         # with the best residual, not raised

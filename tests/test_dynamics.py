@@ -60,6 +60,14 @@ class TestEvolve:
         with pytest.raises(StateAnnihilated):
             evolve(HamiltonianSpec(Family.PASSIVE_PT, 0.5), RHO_H, 800.0)
 
+    def test_amplified_state_is_not_annihilated(self):
+        # at a = 2, U rho U^dag overflows from t ~ 205 while U stays finite
+        rho = evolve(pt(2.0), RHO_H, 300.0)
+        assert np.all(np.isfinite(rho))
+        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
 
 class TestDistinguishabilitySeries:
     def test_unitary_case_is_constant(self):
@@ -75,6 +83,11 @@ class TestDistinguishabilitySeries:
     def test_broken_is_strictly_decreasing(self):
         series = hv_series(pt(1.25), 5.0, 128)
         assert np.all(np.diff(series.values) < 0)
+
+    def test_broken_long_times_past_product_overflow(self):
+        series = hv_series(pt(2.0), 300.0, 512)
+        assert np.all(np.isfinite(series.values))
+        assert np.diff(series.values).max() <= 1e-12
 
     def test_periodicity_property(self):
         for a in (0.2, 0.5, 0.8):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ptsim import embedding
 from ptsim.dynamics import evolve, fit_recurrence_time
 from ptsim.embedding import (
     build_h_tot,
@@ -13,7 +14,7 @@ from ptsim.embedding import (
     postselect_pt,
     postselect_pt_density,
 )
-from ptsim.errors import MetricUndefined, PostselectionImpossible
+from ptsim.errors import InvalidDensityMatrix, MetricUndefined, PostselectionImpossible
 from ptsim.models import Family, HamiltonianSpec
 from ptsim.qcore import (
     ID2,
@@ -165,3 +166,11 @@ class TestEntanglementMeasures:
         s_fit = fit_recurrence_time(entanglement_entropy_series(0.5, KET_H, grid))
         i_fit = fit_recurrence_time(mutual_information_series(0.5, KET_H, grid))
         assert i_fit.parameter == pytest.approx(s_fit.parameter, rel=0.01)
+
+    def test_mixed_total_state_raises(self, monkeypatch):
+        def mixed(a, chi, times):
+            for _ in times:
+                yield np.eye(4, dtype=complex) / 4
+        monkeypatch.setattr(embedding, "_evolved_total_density", mixed)
+        with pytest.raises(InvalidDensityMatrix):
+            mutual_information_series(0.5, KET_H, np.linspace(0.0, 1.0, 4))

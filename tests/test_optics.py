@@ -193,6 +193,16 @@ class TestCompileSingleQubit:
         for v in sol.angles.values():
             assert -np.pi < v <= np.pi
 
+    def test_starved_unreachable_target_reports_failure(self):
+        # pt-simplified realizes equal off-diagonal entries only
+        target = np.array([[0, 1], [0.5, 0]], dtype=complex)
+        sol = compile_single_qubit(target, PTS, restarts=3, seed=1)
+        assert not sol.success
+        assert sol.restarts_used == 3
+        realized = realize_single(PTS, sol.angles)
+        rebuilt = np.linalg.norm(realized - np.exp(1j * sol.global_phase) * target)
+        assert sol.residual == pytest.approx(rebuilt, abs=1e-12)
+
 
 class TestCompileTwoQubit:
     def test_identity_target(self):
@@ -220,6 +230,17 @@ class TestCompileTwoQubit:
 
 
 class TestSolutionRecord:
+    @pytest.mark.parametrize("compile_target", [
+        lambda seed: compile_single_qubit(SIGMA_X, FULL, restarts=10, seed=seed),
+        lambda seed: compile_two_qubit(np.diag([1, 1, 1, -1]).astype(complex),
+                                       restarts=10, seed=seed),
+    ], ids=["full12", "two-qubit"])
+    def test_same_seed_gives_identical_record(self, compile_target):
+        first = solution_record(compile_target(4))
+        assert solution_record(compile_target(4)) == first
+        parsed = dict(line.split(" = ", 1) for line in first.strip().splitlines())
+        assert int(parsed["evaluations"]) > 0
+
     def test_round_trips_as_key_value_text(self):
         sol = AngleSolution(
             variant=PTS,
@@ -228,6 +249,7 @@ class TestSolutionRecord:
             global_phase=0.5,
             success=True,
             restarts_used=2,
+            evaluations=41,
         )
         record = solution_record(sol)
         parsed = dict(
@@ -237,3 +259,4 @@ class TestSolutionRecord:
         assert float(parsed["residual"]) == pytest.approx(1e-8)
         assert parsed["success"] == "true"
         assert float(parsed["theta_V"]) == pytest.approx(3.0)
+        assert parsed["evaluations"] == "41"
