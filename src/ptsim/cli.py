@@ -13,9 +13,9 @@ one output file) per entry.
 """
 
 import argparse
+import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,8 @@ from .dynamics import (
 )
 from .errors import CompileFailed, ConfigError, NoOscillation, PTSimError
 from .models import Family, HamiltonianSpec, build_hamiltonian, classify_regime
-from .qcore import mat_exp, partial_trace, polarization_ket, pure_state, trace_distance, von_neumann_entropy
+from .qcore import mat_exp, polarization_ket, pure_state
 from .tomography import born_probabilities, mle_reconstruct, simulate_counts, standard_bases
-
-MAX_WORKERS = 4
 
 EXPERIMENTS = ("distinguishability", "scaling", "powerlaw", "embed", "tomography", "compile")
 
@@ -319,19 +317,10 @@ def _run_embed(run, ns, seed, out):
     if t_max is None:
         t_max = 2 * np.pi / np.sqrt(1 - a * a)   # two recurrence periods
     grid = np.linspace(0.0, t_max, points)
-    h_tot = embedding.build_h_tot(a)
-    psi1 = embedding.embed_initial(k1, a)
-    psi2 = embedding.embed_initial(k2, a)
-    rows = []
-    for t in grid:
-        U = mat_exp(h_tot, t)
-        v1, v2 = U @ psi1, U @ psi2
-        d = trace_distance(embedding.postselect_pt(v1), embedding.postselect_pt(v2))
-        rho_tot = pure_state(v1)
-        s_sys = von_neumann_entropy(partial_trace(rho_tot, "system"))
-        s_anc = von_neumann_entropy(partial_trace(rho_tot, "ancilla"))
-        mi = s_sys + s_anc - von_neumann_entropy(rho_tot)
-        rows.append((t, d, s_sys, mi))
+    d = embedding.distinguishability_series(a, k1, k2, grid)
+    s = embedding.entanglement_entropy_series(a, k1, grid)
+    mi = embedding.mutual_information_series(a, k1, grid)
+    rows = zip(grid, d.values, s.values, mi.values)
     meta = {
         "experiment": "embed",
         "a": a,
@@ -463,6 +452,7 @@ _NO_SWEEP = ("scaling", "tomography", "compile")
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptsim",
@@ -562,16 +552,8 @@ def main(argv=None) -> int:
             jobs.append((run, _run_seed(master_seed, i), out))
         if errors:
             raise ConfigError(errors)
-
-        if len(jobs) == 1:
-            summaries = [runner(jobs[0][0], ns, jobs[0][1], jobs[0][2])]
-        else:
-            with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(jobs))) as pool:
-                summaries = list(
-                    pool.map(lambda j: runner(j[0], ns, j[1], j[2]), jobs)
-                )
-        for line in summaries:
-            print(line)
+        for run, seed, out in jobs:
+            print(runner(run, ns, seed, out))
         return 0
     except ConfigError as exc:
         json.dump({"error": "ConfigError", "violations": exc.violations}, sys.stderr)

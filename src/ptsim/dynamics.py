@@ -9,9 +9,10 @@ from scipy.optimize import minimize_scalar
 
 from .errors import InvalidWindow, NoOscillation, StateAnnihilated
 from .models import HamiltonianSpec, build_hamiltonian, classify_regime
-from .qcore import as_density_matrix, mat_exp, trace_distance
+from .qcore import as_density_matrix, propagator, trace_distance
 
 TRACE_FLOOR = 1e-300
+_LOG_TRACE_FLOOR = np.log(TRACE_FLOOR)
 FOURIER_HARMONICS = 3   # more than 3 overfits desk-scale grids
 DEFAULT_POINTS = 512
 
@@ -56,39 +57,33 @@ def evolve(spec: HamiltonianSpec, rho0, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     rho0 = as_density_matrix(rho0)
-    U = mat_exp(build_hamiltonian(spec), t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return as_density_matrix(_normalized_evolution(U, rho0, t))
+    W, g = propagator(build_hamiltonian(spec), [t])
+    return as_density_matrix(_normalized_evolution(W, g, rho0, [t])[0])
 
 
-def _normalized_evolution(U, rho, t):
-    """U rho U^dag / Tr[U rho U^dag]; callers silence the overflow warnings."""
-    m = U @ rho @ U.conj().T
-    tr = np.trace(m).real
-    if not np.isfinite(tr) and np.all(np.isfinite(U)):
-        # an amplified state overflows U rho U^dag while U is still finite;
-        # the trace normalization makes rescaling U exact
-        U = U / np.abs(U).max()
-        m = U @ rho @ U.conj().T
-        tr = np.trace(m).real
-    if not np.isfinite(tr) or tr <= TRACE_FLOOR:
-        raise StateAnnihilated(f"normalization trace {tr!r} at t = {t}")
-    return m / tr
+def _normalized_evolution(W, g, rho, times):
+    """W rho W^dag / Tr[W rho W^dag] over a ``propagator`` stack; the survival
+    probability e^{2g} Tr[W rho W^dag] is tested as a logarithm, which no
+    amplified state overflows."""
+    m = W @ rho @ W.conj().transpose(0, 2, 1)
+    tr = m.trace(axis1=1, axis2=2).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(tr) + 2 * g
+    if not log_p.min(initial=np.inf) >= _LOG_TRACE_FLOOR:   # NaN fails too
+        k = np.argmax(~(log_p >= _LOG_TRACE_FLOOR))
+        raise StateAnnihilated(f"log survival probability {log_p[k]:.6g} is below "
+                               f"log(TRACE_FLOOR) = {_LOG_TRACE_FLOOR:.6g} at t = {times[k]}")
+    return m / tr[:, None, None]
 
 
 def distinguishability_series(spec: HamiltonianSpec, rho1, rho2, times) -> TimeSeries:
     """Trace distance between the two evolved states at each grid time."""
     rho1 = as_density_matrix(rho1)
     rho2 = as_density_matrix(rho2)
-    H = build_hamiltonian(spec)
     ts = np.asarray(times, dtype=float)
-    vals = np.empty(len(ts))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(ts):
-            U = mat_exp(H, t)
-            vals[i] = trace_distance(
-                _normalized_evolution(U, rho1, t), _normalized_evolution(U, rho2, t)
-            )
+    W, g = propagator(build_hamiltonian(spec), ts)
+    vals = trace_distance(_normalized_evolution(W, g, rho1, ts),
+                          _normalized_evolution(W, g, rho2, ts))
     label = f"D(t) {spec.family.value} a={spec.a:g}"
     if spec.family.value == "nosym":
         label += f" c={spec.c:g}"

@@ -17,7 +17,9 @@ from .qcore import (
     mat_exp,
     normalized,
     partial_trace,
+    propagator,
     pure_state,
+    trace_distance,
     von_neumann_entropy,
 )
 from .dynamics import TimeSeries
@@ -76,32 +78,40 @@ def postselect_pt(psi) -> np.ndarray:
 
 def postselect_pt_density(rho_tot) -> np.ndarray:
     """Post-selection for a (possibly mixed) two-qubit density matrix:
-    project onto |u><u| (x) 1, trace out the ancilla, renormalize."""
+    project onto |u><u| (x) 1, trace out the ancilla, renormalize.  A stack
+    (..., 4, 4) is post-selected matrix by matrix and returned unvalidated."""
     rho = np.asarray(rho_tot, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
-    block = rho[:2, :2]
-    weight = np.trace(block).real
-    if weight <= 1e-150:
+    block = rho[..., :2, :2]
+    weight = np.trace(block, axis1=-2, axis2=-1).real
+    if np.any(weight <= 1e-150):
         raise PostselectionImpossible("the |u> block has vanishing weight")
-    return as_density_matrix(block / weight)
+    post = block / weight[..., None, None]
+    return post if post.ndim > 2 else as_density_matrix(post)
 
 
-def _evolved_total_density(a: float, chi, times):
-    h_tot = build_h_tot(a)
-    psi0 = embed_initial(chi, a)
-    for t in times:
-        psi = mat_exp(h_tot, t) @ psi0
-        yield pure_state(psi)
+def _evolved_total_density(a: float, chi, times) -> np.ndarray:
+    """Pure two-qubit states of the dilation along the grid, shape (N, 4, 4)."""
+    W, _ = propagator(build_h_tot(a), times)
+    psi = W @ embed_initial(chi, a)
+    rho = psi[:, :, None] * psi[:, None, :].conj()
+    return rho / np.sum(np.abs(psi) ** 2, axis=1)[:, None, None]
+
+
+def distinguishability_series(a: float, chi1, chi2, times) -> TimeSeries:
+    """Trace distance of the post-selected states of two embedded initial states."""
+    ts = np.asarray(times, dtype=float)
+    rho1, rho2 = (postselect_pt_density(_evolved_total_density(a, chi, ts))
+                  for chi in (chi1, chi2))
+    return TimeSeries(ts, trace_distance(rho1, rho2), label=f"D(t) embedded a={a:g}")
 
 
 def entanglement_entropy_series(a: float, chi, times) -> TimeSeries:
     """System-ancilla entanglement entropy (base-2) along the time grid."""
     ts = np.asarray(times, dtype=float)
-    vals = np.array(
-        [von_neumann_entropy(partial_trace(rho, "system"))
-         for rho in _evolved_total_density(a, chi, ts)]
-    )
+    rho = _evolved_total_density(a, chi, ts)
+    vals = von_neumann_entropy(partial_trace(rho, "system"))
     return TimeSeries(times=ts, values=vals, label=f"S(t) a={a:g}")
 
 
@@ -112,12 +122,10 @@ def mutual_information_series(a: float, chi, times) -> TimeSeries:
     is checked to stay below 1e-8 and subtracted anyway.
     """
     ts = np.asarray(times, dtype=float)
-    vals = np.empty(len(ts))
-    for i, rho in enumerate(_evolved_total_density(a, chi, ts)):
-        s_sys = von_neumann_entropy(partial_trace(rho, "system"))
-        s_anc = von_neumann_entropy(partial_trace(rho, "ancilla"))
-        s_tot = von_neumann_entropy(rho)
-        if not s_tot < _PURITY_TOL:
-            raise InvalidDensityMatrix(f"total state not pure: S_tot = {s_tot:.3e}")
-        vals[i] = s_sys + s_anc - s_tot
+    rho = _evolved_total_density(a, chi, ts)
+    s_tot = von_neumann_entropy(rho)
+    if not np.all(s_tot < _PURITY_TOL):
+        raise InvalidDensityMatrix(f"total state not pure: S_tot = {np.max(s_tot):.3e}")
+    vals = (von_neumann_entropy(partial_trace(rho, "system"))
+            + von_neumann_entropy(partial_trace(rho, "ancilla")) - s_tot)
     return TimeSeries(times=ts, values=vals, label=f"I(t) a={a:g}")

@@ -1,12 +1,16 @@
-"""Complex linear algebra kernel: matrix exponentials that stay correct at
-defective (exceptional) points, trace distance, entropies and partial traces.
+"""Complex linear algebra kernel: a batched closed-form propagator, exact at
+defective (exceptional) points, and trace distance, entropies and partial
+traces of one matrix or a stack (..., d, d).
 
 All operators are plain complex ndarrays of dimension 2 or 4 (hbar = 1
 throughout).  Density matrices are validated ndarrays; ``as_density_matrix``
 is the single entry point that symmetrizes and checks the invariants.
 """
 
+import cmath
+
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import DimMismatch, InvalidDensityMatrix, InvalidMatrix
 
@@ -22,7 +26,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10   # more negative than this is a hard error
 ENTROPY_CUTOFF = 1e-12
-EIG_CONDITION_LIMIT = 1e6   # eigenvector condition number above which eig is unsafe
 
 _POLARIZATION_KETS = {
     "H": KET_H,
@@ -95,85 +98,96 @@ def normalized(ket) -> np.ndarray:
     return v / n
 
 
+def propagator(H, times):
+    """Scale-free stack ``(W, g)`` over a time grid: W of shape (N, d, d) has
+    entries of order one and e^{-iHt} = e^{-i Re(tr H) t/d} e^{g} W.
+
+    For 2x2, K = H - (tr H/2) 1 squares to w^2 1 with w^2 = -det K, so
+    e^{-iKt} = cos(wt) 1 - i t sinc(wt) K, exact at an exceptional point
+    (w = 0); W is that scaled by e^{-|Im w| t}.  A Hermitian 4x4 H is
+    diagonalized once for all times; any other 4x4 goes through expm.
+    """
+    H = check_matrix(H)
+    ts = np.asarray(times, dtype=float).reshape(-1)
+    if not np.isfinite(ts).all():
+        raise InvalidMatrix("times must be finite")
+    shift = np.trace(H) / len(H)
+    K = H - shift * np.eye(len(H))
+    g = shift.imag * ts
+    if len(H) == 2:
+        (k00, k01), (k10, k11) = K.tolist()
+        w = cmath.sqrt(k01 * k10 - k00 * k11)
+        x = w * ts
+        # cosh and sinh of Im(wt), both scaled by e^{-|Im wt|}
+        e2 = np.expm1(-2 * np.abs(x.imag))
+        ch, sh = 1 + e2 / 2, np.copysign(e2 / 2, x.imag)
+        cr, sr = np.cos(x.real), np.sin(x.real)
+        cos = cr * ch - 1j * (sr * sh)
+        sin = sr * ch + 1j * (cr * sh)
+        tsinc = sin / w if w != 0 else ts
+        W = cos[:, None, None] * ID2 - 1j * tsinc[:, None, None] * K
+        return W, g + np.abs(x.imag)
+    if np.array_equal(H, H.conj().T):
+        lam, V = np.linalg.eigh(K)
+        W = (V * np.exp(-1j * np.outer(ts, lam))[:, None, :]) @ V.conj().T
+    else:
+        W = expm(-1j * ts[:, None, None] * K)
+    return W, g
+
+
 def mat_exp(H, t: float) -> np.ndarray:
     """Evolution operator e^{-iHt} for a 2x2 or 4x4 complex matrix H.
 
-    Uses an eigendecomposition when the eigenvector matrix is well
-    conditioned.  Near an exceptional point the Hamiltonian is defective and
-    eigendecomposition silently loses accuracy, so the fallback is scaling
-    and squaring of a truncated Taylor series, which has no such blind spot.
+    The one-point case of ``propagator`` with the scalar factor restored, so
+    it is exact at exceptional points and overflows only where e^{-iHt}
+    itself does; normalized evolution uses ``propagator`` directly.
     """
-    H = check_matrix(H)
-    if not np.isfinite(t):
-        raise InvalidMatrix("time must be finite")
-    w, V = np.linalg.eig(H)
-    try:
-        cond = np.linalg.cond(V)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if np.isfinite(cond) and cond < EIG_CONDITION_LIMIT:
-        return (V * np.exp(-1j * w * t)) @ np.linalg.inv(V)
-    return _expm_taylor(-1j * t * H)
+    W, g = propagator(H, [t])
+    shift = np.trace(np.asarray(H, dtype=complex)).real / len(W[0])
+    return np.exp(g[0] - 1j * shift * t) * W[0]
 
 
-def _expm_taylor(A: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring e^A with a truncated Taylor series."""
-    norm = np.linalg.norm(A, 1)
-    s = int(np.ceil(np.log2(norm / 0.25))) if norm > 0.25 else 0
-    B = A / 2**s
-    X = np.eye(A.shape[0], dtype=complex)
-    term = X
-    for k in range(1, 60):
-        term = term @ B / k
-        X = X + term
-        if np.linalg.norm(term, 1) <= 1e-18 * np.linalg.norm(X, 1):
-            break
-    for _ in range(s):
-        X = X @ X
-    return X
-
-
-def trace_distance(rho1, rho2) -> float:
-    """Half the trace norm of rho1 - rho2; in [0, 1] for density matrices."""
+def trace_distance(rho1, rho2):
+    """Half the trace norm of rho1 - rho2, in [0, 1]; an array for stacks."""
     r1 = np.asarray(rho1, dtype=complex)
     r2 = np.asarray(rho2, dtype=complex)
     if r1.shape != r2.shape:
         raise DimMismatch(f"shape {r1.shape} vs {r2.shape}")
     d = r1 - r2
-    d = (d + d.conj().T) / 2
-    val = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(d)))
-    return float(min(max(val, 0.0), 1.0))
+    d = (d + d.conj().swapaxes(-1, -2)) / 2
+    val = np.clip(0.5 * np.abs(np.linalg.eigvalsh(d)).sum(axis=-1), 0.0, 1.0)
+    return float(val) if val.ndim == 0 else val
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho):
     """Entropy -sum lambda log2 lambda over eigenvalues above 1e-12.
 
     Base-2 logarithm, so a maximally mixed qubit has entropy exactly 1.
     Eigenvalues in [-1e-10, 0] are clipped to zero; anything more negative
-    is rejected as unphysical.
+    is rejected as unphysical.  Stacks (..., d, d) give an array.
     """
     w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    if w.min() < EIGENVALUE_FLOOR:
+    if w.min(initial=0.0) < EIGENVALUE_FLOOR:
         raise InvalidDensityMatrix(f"negative eigenvalue {w.min():.3e}")
-    w = np.clip(w, 0.0, None)
-    w = w[w > ENTROPY_CUTOFF]
-    return float(-np.sum(w * np.log2(w)))
+    w = np.where(w > ENTROPY_CUTOFF, w, 1.0)   # 1 log 1 = 0
+    val = -np.sum(w * np.log2(w), axis=-1)
+    return float(val) if val.ndim == 0 else val
 
 
 def partial_trace(rho, keep: str) -> np.ndarray:
-    """Reduce a two-qubit operator over one factor.
+    """Reduce a two-qubit operator, or a stack (..., 4, 4), over one factor.
 
     Tensor ordering is ancilla (x) system: basis |u,H>, |u,V>, |d,H>, |d,V>.
     ``keep`` selects the surviving factor, "system" or "ancilla".
     """
     r = np.asarray(rho, dtype=complex)
-    if r.shape != (4, 4):
+    if r.shape[-2:] != (4, 4):
         raise DimMismatch(f"partial trace needs a 4x4 matrix, got {r.shape}")
-    blocks = r.reshape(2, 2, 2, 2)
+    blocks = r.reshape(r.shape[:-2] + (2, 2, 2, 2))
     if keep == "system":
-        return np.einsum("asat->st", blocks)
+        return np.einsum("...asat->...st", blocks)
     if keep == "ancilla":
-        return np.einsum("asbs->ab", blocks)
+        return np.einsum("...asbs->...ab", blocks)
     raise ValueError(f"keep must be 'system' or 'ancilla', got {keep!r}")
 
 

@@ -3,9 +3,17 @@
 The matrix-exponential oracle here deliberately avoids the code paths of the
 library implementation: a fixed-order Taylor series applied on successively
 halved substeps until the result stops changing.
+
+Property tests run under one hypothesis profile: no per-example deadline,
+since timings on a shared machine vary by far more than the examples do,
+and derandomized, so every run draws the same examples.
 """
 
 import numpy as np
+from hypothesis import settings
+
+settings.register_profile("ptsim", deadline=None, derandomize=True)
+settings.load_profile("ptsim")
 
 
 def taylor_expm_oracle(H, t, order: int = 20, tol: float = 1e-13) -> np.ndarray:

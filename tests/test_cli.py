@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from ptsim.cli import load_config, main
+from ptsim import embedding
+from ptsim.cli import _run_seed, load_config, main
 from ptsim.errors import ConfigError
+from ptsim.qcore import KET_H, KET_V
 
 
 def read_csv(path):
@@ -91,6 +93,24 @@ class TestEmbed:
         assert meta["entropy_log_base"] == "2"
         d0 = float(rows[0][1])
         assert d0 == pytest.approx(1.0, abs=1e-9)
+
+    def test_columns_match_library_series(self, tmp_path):
+        out = tmp_path / "e.csv"
+        code = main([
+            "embed", "--a", "0.5", "--initial", "H,V",
+            "--points", "64", "--t-max", "9", "--out", str(out),
+        ])
+        assert code == 0
+        _, _, rows = read_csv(out)
+        t, d, s, i = np.array(rows, dtype=float).T
+        grid = np.linspace(0.0, 9.0, 64)
+        np.testing.assert_array_equal(t, grid)
+        np.testing.assert_array_equal(
+            d, embedding.distinguishability_series(0.5, KET_H, KET_V, grid).values)
+        np.testing.assert_array_equal(
+            s, embedding.entanglement_entropy_series(0.5, KET_H, grid).values)
+        np.testing.assert_array_equal(
+            i, embedding.mutual_information_series(0.5, KET_H, grid).values)
 
 
 class TestTomography:
@@ -199,6 +219,22 @@ class TestConfigHandling:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert len(err["violations"]) == 2
+
+    def test_consecutive_calls_share_no_values(self, tmp_path, capsys):
+        first = tmp_path / "d.csv"
+        code = main([
+            "distinguishability", "--a", "0.5", "--initial", "V,H", "--points", "64",
+            "--t-max", "5", "--seed", "7", "--out", str(first),
+        ])
+        assert code == 0
+        second = tmp_path / "e.csv"
+        assert main(["embed", "--a", "0.3", "--out", str(second)]) == 0
+        meta, _, rows = read_csv(second)
+        assert len(rows) == 256
+        assert meta["initial"] == "H|V"
+        assert meta["seed"] == str(_run_seed(0, 0))
+        assert float(rows[-1][0]) == pytest.approx(2 * np.pi / np.sqrt(1 - 0.3**2))
+        assert capsys.readouterr().out.splitlines()[-1].endswith(f"-> {second}")
 
     def test_parse_errors_collected(self, tmp_path):
         cfg = tmp_path / "syntax.cfg"

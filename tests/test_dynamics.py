@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import random_pure
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ptsim.dynamics import (
     TimeSeries,
@@ -14,7 +16,7 @@ from ptsim.dynamics import (
     fit_relaxation_time,
 )
 from ptsim.errors import InvalidWindow, NoOscillation, StateAnnihilated
-from ptsim.models import Family, HamiltonianSpec
+from ptsim.models import Family, HamiltonianSpec, build_hamiltonian
 from ptsim.qcore import KET_H, KET_V, polarization_ket, pure_state, trace_distance
 
 RHO_H = pure_state(KET_H)
@@ -68,6 +70,19 @@ class TestEvolve:
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(rho).min() >= -1e-12
 
+    def test_amplified_state_past_propagator_overflow(self):
+        # e^{-iHt} itself overflows at a = 2 from t ~ 409.8
+        rho = evolve(pt(2.0), RHO_H, 420.0)
+        assert np.all(np.isfinite(rho))
+        np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+
+    def test_broken_state_converges_to_dominant_eigenvector(self):
+        w, V = np.linalg.eig(build_hamiltonian(pt(2.0)))
+        dominant = pure_state(V[:, np.argmax(w.imag)])
+        np.testing.assert_allclose(evolve(pt(2.0), RHO_H, 5000.0), dominant, atol=1e-12)
+
 
 class TestDistinguishabilitySeries:
     def test_unitary_case_is_constant(self):
@@ -89,6 +104,11 @@ class TestDistinguishabilitySeries:
         assert np.all(np.isfinite(series.values))
         assert np.diff(series.values).max() <= 1e-12
 
+    def test_broken_long_times_past_propagator_overflow(self):
+        series = hv_series(pt(2.0), 2000.0, 512)
+        assert np.all(np.isfinite(series.values))
+        assert np.diff(series.values).max() <= 1e-12
+
     def test_periodicity_property(self):
         for a in (0.2, 0.5, 0.8):
             T = recurrence_period(a)
@@ -102,6 +122,32 @@ class TestDistinguishabilitySeries:
             TimeSeries(times=np.array([0.0, 0.0, 1.0]), values=np.zeros(3))
         with pytest.raises(ValueError):
             TimeSeries(times=np.array([0.0, 1.0]), values=np.array([1.0, np.nan]))
+
+
+_families = st.sampled_from([Family.PT, Family.PASSIVE_PT, Family.TIME_REVERSAL,
+                             Family.NO_SYMMETRY])
+_ket = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: np.array(v[:2]) + 1j * np.array(v[2:]))
+
+
+class TestBatchedSeries:
+    @given(_families, st.floats(0.0, 2.5), st.floats(-1.0, 1.0), _ket, _ket,
+           st.floats(0.5, 20.0))
+    def test_matches_pointwise_evolution(self, family, a, c, k1, k2, t_max):
+        spec = HamiltonianSpec(family, a, c)
+        rho1, rho2 = pure_state(k1), pure_state(k2)
+        grid = np.linspace(0.0, t_max, 16)
+        series = distinguishability_series(spec, rho1, rho2, grid)
+        pointwise = [trace_distance(evolve(spec, rho1, t), evolve(spec, rho2, t)) for t in grid]
+        np.testing.assert_allclose(series.values, pointwise, rtol=0, atol=1e-13)
+
+    @given(st.floats(0.0, 2.5), _ket, _ket, st.floats(0.5, 20.0))
+    def test_balanced_and_passive_series_agree(self, a, k1, k2, t_max):
+        rho1, rho2 = pure_state(k1), pure_state(k2)
+        grid = np.linspace(0.0, t_max, 64)
+        balanced = distinguishability_series(pt(a), rho1, rho2, grid)
+        passive = distinguishability_series(HamiltonianSpec(Family.PASSIVE_PT, a), rho1, rho2, grid)
+        np.testing.assert_allclose(passive.values, balanced.values, rtol=0, atol=1e-12)
 
 
 class TestRecurrenceFit:

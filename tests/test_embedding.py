@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ptsim import embedding
-from ptsim.dynamics import evolve, fit_recurrence_time
+from ptsim.dynamics import distinguishability_series, evolve, fit_recurrence_time
 from ptsim.embedding import (
     build_h_tot,
     embed_initial,
@@ -123,6 +123,14 @@ class TestPostselection:
                     want = evolve(spec, pure_state(chi), t)
                     assert trace_distance(got, want) < 1e-9
 
+    def test_series_matches_direct_series(self):
+        a = 0.8
+        grid = np.linspace(0.0, 2 * np.pi / np.sqrt(1 - a * a), 64)
+        got = embedding.distinguishability_series(a, KET_H, KET_V, grid)
+        want = distinguishability_series(
+            HamiltonianSpec(Family.PT, a), pure_state(KET_H), pure_state(KET_V), grid)
+        np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-9)
+
     def test_density_path_matches_pure_path(self):
         psi = evolve_embedded(0.5, embed_initial(KET_H, 0.5), 1.3)
         got = postselect_pt_density(pure_state(psi))
@@ -169,8 +177,7 @@ class TestEntanglementMeasures:
 
     def test_mixed_total_state_raises(self, monkeypatch):
         def mixed(a, chi, times):
-            for _ in times:
-                yield np.eye(4, dtype=complex) / 4
+            return np.tile(np.eye(4, dtype=complex) / 4, (len(times), 1, 1))
         monkeypatch.setattr(embedding, "_evolved_total_density", mixed)
         with pytest.raises(InvalidDensityMatrix):
             mutual_information_series(0.5, KET_H, np.linspace(0.0, 1.0, 4))

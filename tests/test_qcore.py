@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import random_density, random_pure, random_unitary, taylor_expm_oracle
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ptsim.errors import DimMismatch, InvalidDensityMatrix, InvalidMatrix
 from ptsim.qcore import (
@@ -17,6 +19,7 @@ from ptsim.qcore import (
     mat_exp,
     partial_trace,
     polarization_ket,
+    propagator,
     pure_state,
     trace_distance,
     von_neumann_entropy,
@@ -82,6 +85,74 @@ class TestMatExp:
             mat_exp(np.eye(3), 1.0)
         with pytest.raises(InvalidMatrix):
             mat_exp(SIGMA_X, np.inf)
+
+
+def oracle_mismatch(H, times):
+    """Largest relative spectral error of the propagator stack, rebuilt as
+    e^{-i Re(tr H) t/2} e^g W, against the Taylor oracle.
+
+    The oracle's own roundoff grows with its number of substeps, which is
+    proportional to ||tH||, so the error is returned in units of
+    1e-13 (1 + ||tH||).
+    """
+    W, g = propagator(H, times)
+    phase = np.trace(H).real / 2
+    worst = 0.0
+    for t, w, gt in zip(times, W, g):
+        got = np.exp(gt - 1j * phase * t) * w
+        err = spectral_rel_err(got, taylor_expm_oracle(H, t))
+        worst = max(worst, err / (1e-13 * (1 + t * np.linalg.norm(H, 2))))
+    return worst
+
+
+_entry = st.floats(-2.0, 2.0)
+# subnormal times break the oracle's norm; test_tiny_time covers them
+_times = st.lists(st.floats(0.0, 50.0, allow_subnormal=False), min_size=1, max_size=4)
+
+
+class TestPropagator:
+    @given(st.lists(_entry, min_size=8, max_size=8), _times)
+    def test_random_2x2_vs_oracle(self, entries, times):
+        H = (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
+        assert oracle_mismatch(H, times) < 1
+
+    @given(st.integers(-8, 8), st.integers(-8, 8), st.sampled_from([1, 1j, -1, -1j]), _times)
+    def test_exactly_defective_vs_oracle(self, m, n, unit, times):
+        # [[imn, m^2], [n^2, -imn]] squares to zero exactly in floating point
+        H = unit * np.array([[1j * m * n, m * m], [n * n, -1j * m * n]]) / 8
+        assert np.all(H @ H == 0)
+        assert oracle_mismatch(H, times) < 1
+
+    @given(st.integers(3, 12), st.sampled_from([1, -1]), _times)
+    def test_near_exceptional_point_vs_oracle(self, k, sign, times):
+        # the passive family shares W with pt (see the dynamics tests); its
+        # e^{-at} loss costs the oracle, not the kernel, accuracy: 4e-11 at
+        # a = 1 + 1e-5, t = 45 against 60-digit arithmetic
+        a = 1 + sign * 10.0**-k
+        assert oracle_mismatch(SIGMA_X + 1j * a * SIGMA_Z, times) < 1
+
+    def test_tiny_time(self):
+        W, g = propagator(SIGMA_X + 0.5j * SIGMA_Z, [5e-324, 1e-300])
+        assert np.all(np.isfinite(W))
+        np.testing.assert_allclose(W, [ID2, ID2], atol=1e-15)
+
+    def test_scale_free_far_past_overflow(self):
+        # e^{-iHt} is ~e^{8660} at a = 2, t = 5000; W and g stay finite
+        W, g = propagator(SIGMA_X + 2j * SIGMA_Z, [0.0, 5000.0])
+        assert np.all(np.isfinite(W)) and np.abs(W).max() < 2
+        np.testing.assert_allclose(g, [0.0, np.sqrt(3) * 5000.0], rtol=1e-15)
+
+    def test_hermitian_4x4_batched(self):
+        H = np.kron(SIGMA_Z, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)
+        times = np.linspace(0.0, 3.0, 7)
+        W, g = propagator(H, times)
+        assert W.shape == (7, 4, 4) and np.all(g == 0)
+        for t, w in zip(times, W):
+            assert spectral_rel_err(w, taylor_expm_oracle(H, t)) < 1e-12
+
+    def test_non_hermitian_4x4(self):
+        H = np.kron(SIGMA_Z, SIGMA_X + 0.5j * SIGMA_Z)
+        assert spectral_rel_err(mat_exp(H, 0.8), taylor_expm_oracle(H, 0.8)) < 1e-12
 
 
 class TestTraceDistance:
