@@ -24,9 +24,6 @@ from .qcore import (
 )
 from .dynamics import TimeSeries
 
-KET_U = np.array([1, 0], dtype=complex)
-KET_D = np.array([0, 1], dtype=complex)
-
 _PURITY_TOL = 1e-8
 
 

@@ -84,9 +84,6 @@ class AngleSolution:
     restarts_used: int = 0
     evaluations: int = 0
 
-    def vector(self) -> np.ndarray:
-        return np.array([self.angles[n] for n in free_angle_names(self.variant)])
-
 
 def qwp(phi: float) -> np.ndarray:
     """Jones matrix of a quarter-wave plate at mount angle phi."""
@@ -110,19 +107,8 @@ def loss_simplified(theta_H: float, theta_V: float) -> np.ndarray:
 
 def loss_full(phi3, phi4, theta_V, phi5, phi6, theta_H) -> np.ndarray:
     """Anti-diagonal loss element with the inner QWP angles free."""
-    xi = 0.5 * (
-        1j * np.sin(2 * theta_V)
-        - np.sin(2 * (theta_V - phi3))
-        + np.sin(2 * (theta_V - phi4))
-        + 1j * np.sin(2 * (theta_V - phi3 - phi4))
-    )
-    et = 0.5 * (
-        1j * np.sin(2 * theta_H)
-        + np.sin(2 * (theta_H - phi5))
-        - np.sin(2 * (theta_H - phi6))
-        + 1j * np.sin(2 * (theta_H - phi5 - phi6))
-    )
-    return np.array([[0, xi], [et, 0]])
+    xi, eta = _loss_full_entries(phi3, phi4, theta_V, phi5, phi6, theta_H)
+    return np.array([[0, xi], [eta, 0]])
 
 
 def loss_operator(variant, angles: dict) -> np.ndarray:
@@ -175,6 +161,23 @@ def _sandwich(phi_out, theta, phi_in):
     return _mm2(_qwp_entries(phi_out), _mm2(_hwp_entries(theta), _qwp_entries(phi_in)))
 
 
+def _loss_full_entries(phi3, phi4, theta_V, phi5, phi6, theta_H):
+    # xi and eta of the full loss element [[0, xi], [eta, 0]]
+    xi = 0.5 * (
+        1j * math.sin(2 * theta_V)
+        - math.sin(2 * (theta_V - phi3))
+        + math.sin(2 * (theta_V - phi4))
+        + 1j * math.sin(2 * (theta_V - phi3 - phi4))
+    )
+    eta = 0.5 * (
+        1j * math.sin(2 * theta_H)
+        + math.sin(2 * (theta_H - phi5))
+        - math.sin(2 * (theta_H - phi6))
+        + 1j * math.sin(2 * (theta_H - phi5 - phi6))
+    )
+    return xi, eta
+
+
 def _apply_loss(xi, eta, r):
     # [[0, xi], [eta, 0]] @ r
     return (xi * r[2], xi * r[3], eta * r[0], eta * r[1])
@@ -183,18 +186,7 @@ def _apply_loss(xi, eta, r):
 def _single_entries(variant: DecompositionVariant, x):
     if variant is DecompositionVariant.FULL12:
         r1 = _sandwich(x[2], x[1], x[0])
-        xi = 0.5 * (
-            1j * math.sin(2 * x[5])
-            - math.sin(2 * (x[5] - x[3]))
-            + math.sin(2 * (x[5] - x[4]))
-            + 1j * math.sin(2 * (x[5] - x[3] - x[4]))
-        )
-        eta = 0.5 * (
-            1j * math.sin(2 * x[8])
-            + math.sin(2 * (x[8] - x[6]))
-            - math.sin(2 * (x[8] - x[7]))
-            + 1j * math.sin(2 * (x[8] - x[6] - x[7]))
-        )
+        xi, eta = _loss_full_entries(*x[3:9])
         return _mm2(_sandwich(x[11], x[10], x[9]), _apply_loss(xi, eta, r1))
     if variant is DecompositionVariant.SYMMETRIC5:
         # the stage-1 QWP next to the loss element is fixed at 0

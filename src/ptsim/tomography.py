@@ -13,25 +13,17 @@ from .errors import (
     NotInformationallyComplete,
     UnsupportedDimension,
 )
-from .qcore import as_density_matrix
+from .qcore import as_density_matrix, polarization_ket
 
 MLE_MAX_ITER = 10000
 MLE_TOL = 1e-10
 MLE_DILUTION = 0.1
 _PROB_CLIP = 1e-12
 
-_QUBIT_KETS = {
-    "H": np.array([1, 0], dtype=complex),
-    "V": np.array([0, 1], dtype=complex),
-    "P+": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "P-": np.array([1, -1j], dtype=complex) / np.sqrt(2),
-}
-_ANCILLA_KETS = {
-    "u": np.array([1, 0], dtype=complex),
-    "d": np.array([0, 1], dtype=complex),
-    "S+": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "S-": np.array([1, -1j], dtype=complex) / np.sqrt(2),
-}
+# basis labels of the experiment -> polarization_ket labels, in basis order;
+# the ancilla's spatial modes u, d take the places of H, V
+_QUBIT_LABELS = {"H": "H", "V": "V", "P+": "P+", "P-": "L"}
+_ANCILLA_LABELS = {"u": "H", "d": "V", "S+": "P+", "S-": "L"}
 
 
 @dataclass(frozen=True)
@@ -69,20 +61,20 @@ class CountRecord:
 def standard_bases(dim: int) -> list:
     """Measurement bases of the experiment.
 
-    dim 2: {H, V, P+, P-} with P+ = (H+V)/sqrt2 and P- = (H-iV)/sqrt2.
-    dim 4: the 16 tensor products {u, d, S+, S-} (x) {H, V, P+, P-}.
+    dim 2: {H, V, P+, P-} with P+ = (H+V)/sqrt2 and P- = (H-iV)/sqrt2, the
+    ``polarization_ket`` labels H, V, P+ and L.
+    dim 4: the 16 tensor products {u, d, S+, S-} (x) {H, V, P+, P-}, where the
+    ancilla kets u, d, S+, S- are the qubit's H, V, P+, L.
     """
+    qubit = {lbl: polarization_ket(name) for lbl, name in _QUBIT_LABELS.items()}
     if dim == 2:
-        return [MeasurementBasis(lbl, np.outer(k, k.conj()))
-                for lbl, k in _QUBIT_KETS.items()]
-    if dim == 4:
-        out = []
-        for albl, aket in _ANCILLA_KETS.items():
-            for qlbl, qket in _QUBIT_KETS.items():
-                k = np.kron(aket, qket)
-                out.append(MeasurementBasis(f"{albl}:{qlbl}", np.outer(k, k.conj())))
-        return out
-    raise UnsupportedDimension(f"no standard bases for dimension {dim}")
+        kets = qubit
+    elif dim == 4:
+        kets = {f"{albl}:{qlbl}": np.kron(polarization_ket(aname), qket)
+                for albl, aname in _ANCILLA_LABELS.items() for qlbl, qket in qubit.items()}
+    else:
+        raise UnsupportedDimension(f"no standard bases for dimension {dim}")
+    return [MeasurementBasis(lbl, np.outer(k, k.conj())) for lbl, k in kets.items()]
 
 
 def born_probabilities(rho, bases) -> np.ndarray:

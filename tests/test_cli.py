@@ -1,6 +1,8 @@
 """Experiment runner: subcommands, config files, determinism, error records."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from ptsim import embedding
 from ptsim.cli import _run_seed, load_config, main
 from ptsim.errors import ConfigError
 from ptsim.qcore import KET_H, KET_V
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def read_csv(path):
@@ -274,3 +278,104 @@ class TestDeterminism:
         assert main(base + ["--seed", "1", "--out", str(out1)]) == 0
         assert main(base + ["--seed", "2", "--out", str(out2)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
+
+
+def violations_of(capsys):
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    return err["violations"]
+
+
+class TestPlanning:
+    """Every run of a command is parsed and checked before the first one runs."""
+
+    @pytest.mark.parametrize("experiment", ["distinguishability", "powerlaw", "tomography"])
+    def test_missing_a_is_reported(self, experiment, tmp_path, capsys):
+        code = main([experiment, "--family", "pt", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert [v for v in violations_of(capsys) if v.startswith("a:")]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("out", ["d_{a}.csv", "d.csv"])
+    def test_sweep_runs_sharing_an_output_path_are_rejected(self, out, tmp_path, capsys):
+        code = main([
+            "distinguishability", "--a", "0.5", "--initial", "H,V;P+,M",
+            "--points", "16", "--out", str(tmp_path / out),
+        ])
+        assert code == 2
+        violations = violations_of(capsys)
+        assert len(violations) == 1 and violations[0].startswith("out:")
+        assert not list(tmp_path.iterdir())
+
+    def test_run_rejects_flags_of_other_experiments(self, tmp_path, capsys):
+        code = main([
+            "run", "--config", str(CONFIG_DIR / "fig4a.cfg"),
+            "--shots", "5", "--variant", "full12", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        violations = violations_of(capsys)
+        assert len(violations) == 2
+        assert "--shots" in violations[0] and "--variant" in violations[1]
+        assert not list(tmp_path.iterdir())
+
+    def test_run_without_config_is_reported(self, capsys):
+        assert main(["run", "--a", "0.5"]) == 2
+        assert violations_of(capsys)[0].startswith("experiment:")
+
+    def test_bad_later_run_stops_the_whole_sweep(self, tmp_path, capsys):
+        code = main([
+            "distinguishability", "--a", "0.5;abc", "--points", "16",
+            "--out", str(tmp_path / "d_{i}.csv"),
+        ])
+        assert code == 2
+        assert violations_of(capsys) == ["a: cannot parse 'abc'"]
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_length_mismatch(self, tmp_path, capsys):
+        code = main([
+            "distinguishability", "--a", "0.5;0.6", "--c", "1;2;3",
+            "--out", str(tmp_path / "d_{i}.csv"),
+        ])
+        assert code == 2
+        assert violations_of(capsys) == ["a: sweep length 2 does not match 3"]
+
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--a", "0.2;0.3"],
+        ["tomography", "--a", "0.5;0.6"],
+        ["compile", "--variant", "full12", "--a", "0.5;0.6"],
+    ])
+    def test_sweeps_not_supported(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "x_{i}.csv")]) == 2
+        assert violations_of(capsys) == [f"{argv[0]}: sweeps are not supported"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("a", ["0.5", "0.5;0.6"])
+    def test_bad_out_placeholder_reported_once(self, a, tmp_path, capsys):
+        code = main(["distinguishability", "--a", a, "--out", str(tmp_path / "x{bogus}.csv")])
+        assert code == 2
+        violations = violations_of(capsys)
+        assert len(violations) == 1 and violations[0].startswith("out: bad placeholder")
+
+    @pytest.mark.parametrize("cfg", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_every_config_runs(self, cfg, tmp_path):
+        assert main(["run", "--config", str(cfg), "--out", f"{tmp_path}/{{i}}.csv"]) == 0
+        values = load_config(cfg)
+        width = max(len(values.get(key, "").split(";")) for key in ("family", "a", "c", "initial"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{i}.csv" for i in range(width)]
+
+    @pytest.mark.parametrize("command, keys", [
+        ("distinguishability", "family a c initial t-max points"),
+        ("scaling", "regime a initial points"),
+        ("powerlaw", "family a c initial t-min t-max points window"),
+        ("embed", "a initial t-max points"),
+        ("tomography", "family a c state t shots"),
+        ("compile", "variant target-file family a c t restarts"),
+        ("run", "a c family initial points regime restarts shots state t t-max t-min "
+                "target-file variant window"),
+    ])
+    def test_help_lists_the_flags(self, command, keys, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, flags=re.M)
+        assert flags == ["--config", "--seed", "--out"] + [
+            f"--{key}" for key in keys.split()]
