@@ -169,6 +169,14 @@ def _spec_meta(spec: HamiltonianSpec) -> dict:
     return {"family": spec.family.value, "a": spec.a, "c": spec.c}
 
 
+def _check_qubit_family(v) -> list:
+    """The qubit experiments evolve a 2x2 Hamiltonian; the embedded family
+    is the 4x4 dilation, which embed and compile run."""
+    if v["family"] is Family.EMBEDDED:
+        return ["family: embedded is the two-qubit dilation; use embed or compile"]
+    return []
+
+
 def _run_distinguishability(v, seed, out):
     spec, ((k1, k2), labels), points = v["spec"], v["initial"], v["points"]
     grid = (default_time_grid(spec, points) if v["t-max"] is None
@@ -289,7 +297,8 @@ class Experiment:
     and returns its summary line.  ``options`` maps each key to its default
     text (None: no default); a ``required`` entry ``x`` or ``x|y`` names keys
     of which one must be given; ``parsers`` replaces ``_PARSERS`` for keys read
-    differently; ``check`` returns a run's violations and may fill values."""
+    differently; ``check`` returns a run's violations and may fill values;
+    ``suffix`` ends the default output path out/<name>_{i}<suffix>."""
 
     help: str
     runner: Callable
@@ -298,13 +307,14 @@ class Experiment:
     sweeps: bool = False
     parsers: dict = field(default_factory=dict)
     check: Callable = lambda values: []
+    suffix: str = ".csv"
 
 
 EXPERIMENTS = {
     "distinguishability": Experiment(
         "trace-distance series D(t)", _run_distinguishability,
         {"family": "pt", "a": None, "c": "0", "initial": "H,V", "t-max": None, "points": "512"},
-        required=("a",), sweeps=True),
+        required=("a",), sweeps=True, check=_check_qubit_family),
     "scaling": Experiment(
         "recurrence or relaxation time versus a", _run_scaling,
         {"regime": "unbroken", "a": None, "initial": "H,V", "points": "512"},
@@ -313,7 +323,7 @@ EXPERIMENTS = {
         "exceptional-point log-log series and exponent", _run_powerlaw,
         {"family": "pt", "a": None, "c": "0", "initial": "H,V", "t-min": "0.1",
          "t-max": "200", "points": "512", "window": "20,200"},
-        required=("a",), sweeps=True),
+        required=("a",), sweeps=True, check=_check_qubit_family),
     "embed": Experiment(
         "two-qubit dilation: D, entanglement entropy, mutual information", _run_embed,
         {"a": "0.5", "initial": "H,V", "t-max": None, "points": "256"},
@@ -322,12 +332,12 @@ EXPERIMENTS = {
     "tomography": Experiment(
         "simulated photon counts and MLE reconstruction", _run_tomography,
         {"family": "pt", "a": None, "c": "0", "state": "H", "t": "1.0", "shots": "18000"},
-        required=("a",)),
+        required=("a",), check=_check_qubit_family),
     "compile": Experiment(
         "wave-plate angle synthesis for a target operator", _run_compile,
         {"variant": None, "target-file": None, "family": "passive-pt", "a": None,
          "c": "0", "t": "1.0", "restarts": "50"},
-        required=("variant", "target-file|a")),
+        required=("variant", "target-file|a"), suffix=".txt"),
 }
 
 
@@ -343,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key-value config file")
         p.add_argument("--seed", help="master seed (default 0)")
-        p.add_argument("--out", help="output CSV path (template for sweeps)")
+        p.add_argument("--out", help="output path (template for sweeps)")
         for key in keys:
             p.add_argument(f"--{key}", dest=key.replace("-", "_"))
     return parser
@@ -388,7 +398,7 @@ def _plan(ns: argparse.Namespace) -> list:
     master_seed = _parse("seed", raw.get("seed") or "0", int, violations)
     if violations:
         raise ConfigError(violations)
-    template = raw.get("out") or f"out/{name}_{{i}}.csv"
+    template = raw.get("out") or f"out/{name}_{{i}}{exp.suffix}"
     jobs = []
     for i in range(width):
         # a key given once holds for every run of the sweep

@@ -5,7 +5,6 @@ exponent."""
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InvalidWindow, NoOscillation, StateAnnihilated
 from .models import HamiltonianSpec, build_hamiltonian, classify_regime
@@ -155,6 +154,10 @@ def fit_recurrence_time(series: TimeSeries) -> FitResult:
     denom = mags[k - 1] - 2 * mags[k] + mags[k + 1]
     shift = 0.5 * (mags[k - 1] - mags[k + 1]) / denom if denom != 0 else 0.0
     f0 = (k + shift) / (len(t) * dt[0])
+    # imported here: scipy.optimize adds about 20 MB and 0.1 s to the import
+    # of ptsim, and only this fit and the angle synthesis use it
+    from scipy.optimize import minimize_scalar
+
     opt = minimize_scalar(
         lambda f: _fourier_sse(t, y, f),
         bounds=(0.7 * f0, 1.3 * f0),

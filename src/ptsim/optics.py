@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import NotPassive, NotUnitary
 
@@ -287,6 +286,10 @@ def _aligned_residual(realized: np.ndarray, target: np.ndarray):
 
 
 def _compile(target, variant, residuals, realize_vec, restarts, seed, success_residual):
+    # imported here, as in dynamics.fit_recurrence_time: it is the costliest
+    # import of the package, and most runs synthesize no angles
+    from scipy.optimize import least_squares
+
     names = _FREE_ANGLES[variant]
     n = len(names)
     seeds = np.random.SeedSequence(seed).spawn(restarts)

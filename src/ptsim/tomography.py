@@ -1,7 +1,8 @@
 """Simulated photon-counting tomography: Born-rule probabilities in the
 experiment's bases, binomial count generation, and density-matrix
-reconstruction by linear inversion and by iterative maximum likelihood."""
+reconstruction by linear inversion and by certified maximum likelihood."""
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -17,8 +18,6 @@ from .qcore import as_density_matrix, polarization_ket
 
 MLE_MAX_ITER = 10000
 MLE_TOL = 1e-10
-MLE_DILUTION = 0.1
-_PROB_CLIP = 1e-12
 
 # basis labels of the experiment -> polarization_ket labels, in basis order;
 # the ancilla's spatial modes u, d take the places of H, V
@@ -106,8 +105,9 @@ def simulate_counts(probs, shots: int, seed: int, labels=None) -> list:
     ]
 
 
+@functools.cache
 def _hermitian_basis(dim: int) -> np.ndarray:
-    """Traceless Hermitian basis, orthonormal under Tr[B_i B_j]."""
+    """Traceless Hermitian basis, orthonormal under Tr[B_i B_j]; read-only."""
     mats = []
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -123,14 +123,14 @@ def _hermitian_basis(dim: int) -> np.ndarray:
         diag[:k] = 1.0
         diag[k] = -k
         mats.append(np.diag(diag).astype(complex) / np.sqrt(k * (k + 1)))
-    return np.stack(mats)
+    basis = np.stack(mats)
+    basis.setflags(write=False)
+    return basis
 
 
-def _design_matrix(bases, dim: int) -> np.ndarray:
-    basis_ops = _hermitian_basis(dim)
-    return np.array(
-        [[np.trace(b.projector @ op).real for op in basis_ops] for b in bases]
-    )
+def _design_matrix(projs) -> np.ndarray:
+    """Tr[Pi_b B_k] for each projector Pi_b and traceless basis element B_k."""
+    return np.einsum("bij,kji->bk", projs, _hermitian_basis(projs.shape[-1])).real
 
 
 def _check_complete(design: np.ndarray, dim: int):
@@ -142,10 +142,11 @@ def _check_complete(design: np.ndarray, dim: int):
 
 
 def _linear_inversion(freqs, bases) -> np.ndarray:
-    dim = bases[0].projector.shape[0]
-    design = _design_matrix(bases, dim)
+    projs = np.stack([b.projector for b in bases])
+    dim = projs.shape[-1]
+    design = _design_matrix(projs)
     _check_complete(design, dim)
-    offsets = np.array([np.trace(b.projector).real / dim for b in bases])
+    offsets = np.trace(projs, axis1=1, axis2=2).real / dim
     coef, *_ = np.linalg.lstsq(design, np.asarray(freqs, float) - offsets, rcond=None)
     rho = np.eye(dim, dtype=complex) / dim
     rho += np.tensordot(coef, _hermitian_basis(dim), axes=1)
@@ -170,81 +171,161 @@ def linear_inversion_from_probabilities(probs, bases) -> np.ndarray:
     return _linear_inversion(probs, bases)
 
 
+@functools.cache
+def _factor_basis(dim: int) -> np.ndarray:
+    """Real basis E_k of the lower-triangular matrices with real diagonal,
+    orthonormal under Re Tr[E_k E_l^dag]: T = sum_k theta_k E_k has
+    Tr[T T^dag] = |theta|^2 and dim^2 real parameters; read-only."""
+    rows, cols = np.tril_indices(dim)
+    units = [(i, j, 1) for i, j in zip(rows, cols)]
+    units += [(i, j, 1j) for i, j in zip(rows, cols) if i != j]
+    basis = np.zeros((len(units), dim, dim), dtype=complex)
+    for k, (i, j, unit) in enumerate(units):
+        basis[k, i, j] = unit
+    basis.setflags(write=False)
+    return basis
+
+
+def _factor(rho, basis) -> np.ndarray:
+    """Unit theta whose triangular T has T T^dag = rho, for rho of any rank."""
+    w, v = np.linalg.eigh(rho)
+    # rho = A A^dag with A = v sqrt(w); A^dag = Q r gives rho = r^dag r
+    _, r = np.linalg.qr((v * np.sqrt(np.clip(w, 0.0, None))).conj().T)
+    # T = r^dag, its columns rephased so that the diagonal is real
+    r = np.exp(-1j * np.angle(np.diag(r)))[:, None] * r
+    theta = np.einsum("kij,ji->k", basis.conj(), r.conj()).real
+    return theta / np.linalg.norm(theta)
+
+
 def _mle(freqs, weights, bases, max_iter, tol, full_output):
-    dim = bases[0].projector.shape[0]
     projs = np.stack([b.projector for b in bases])
-    _check_complete(_design_matrix(bases, dim), dim)
+    dim = projs.shape[-1]
+    _check_complete(_design_matrix(projs), dim)
     f = np.asarray(freqs, dtype=float)
     if np.all(f == 0):
         raise MleFailed("all counts are zero; the likelihood is degenerate")
     w = np.asarray(weights, dtype=float)
     w = w / w.sum()
-    wf, wg = w * f, w * (1 - f)
-    has_f, has_g = f > 0, f < 1
+    # each basis has two outcomes, its projector and the complement, weighted
+    # by their observed frequencies; an outcome never observed drops out
+    ops = np.concatenate([projs, np.eye(dim) - projs])
+    weight = np.concatenate([w * f, w * (1 - f)])
+    seen = weight > 0
+    ops, weight = ops[seen], weight[seen]
+    ops_flat = ops.reshape(len(ops), -1)
+    # rho = T T^dag / |theta|^2, so each outcome probability is a ratio of
+    # quadratic forms theta^T K theta / theta^T theta, and as the weights sum
+    # to 1, L(theta) = sum weight log(theta^T K theta) - log(theta^T theta)
+    basis = _factor_basis(dim)
+    flat = basis.reshape(len(basis), -1)
+    forms = ((ops[:, None] @ basis).reshape(len(ops), len(basis), -1) @ flat.conj().T).real
 
-    projs_flat = projs.reshape(len(bases), -1)
-    compl_flat = (np.eye(dim, dtype=complex)[None] - projs).reshape(len(bases), -1)
-    eye = np.eye(dim, dtype=complex)
+    def density(theta):
+        t = np.tensordot(theta, basis, axes=1)
+        return t @ t.conj().T
 
-    def probs_of(rho):
-        return np.clip(np.real(projs_flat @ rho.conj().reshape(-1)),
-                       _PROB_CLIP, 1 - _PROB_CLIP)
-
-    def loglike(p):
-        s = np.sum(wf[has_f] * np.log(p[has_f]))
-        s += np.sum(wg[has_g] * np.log(1 - p[has_g]))
-        return float(s)
-
-    rho = eye / dim
-    p = probs_of(rho)
-    current = loglike(p)
-    history = [current]
-    alpha = MLE_DILUTION
-    for _ in range(max_iter):
-        R = (
-            np.where(has_f, wf / p, 0.0) @ projs_flat
-            + np.where(has_g, wg / (1 - p), 0.0) @ compl_flat
-        ).reshape(dim, dim)
-        # diluted multiplicative update; shrink the step until the
-        # likelihood does not decrease, so ascent is guaranteed
-        while True:
-            K = (1 - alpha) * eye + alpha * R
-            cand = K @ rho @ K
-            cand = (cand + cand.conj().T) / 2
-            cand /= np.trace(cand).real
-            p_cand = probs_of(cand)
-            new = loglike(p_cand)
-            if new >= current - 1e-15:
-                break
-            alpha *= 0.5
-            if alpha < 1e-6:
-                raise MleFailed(
-                    f"likelihood decreases even at dilution {alpha:.1e}"
-                )
-        gain = new - current
-        rho, p, current = cand, p_cand, new
-        history.append(current)
-        if alpha < 1.0:
-            alpha = min(1.0, 1.5 * alpha)
-        if 0 <= gain < tol:
+    theta = _factor(np.eye(dim) / dim, basis)
+    kt = forms @ theta
+    p = kt @ theta
+    loglike = [float(weight @ np.log(p))]
+    for it in range(max_iter + 1):
+        # R is the likelihood gradient in rho, with Tr[R rho] = 1; concavity
+        # gives L* - L <= lambda_max(R) - 1
+        evals, evecs = np.linalg.eigh(((weight / p) @ ops_flat).reshape(dim, dim))
+        gap = float(evals[-1] - 1)
+        if gap <= tol:
             break
-    result = as_density_matrix(rho)
+        if it == max_iter:
+            raise MleFailed(f"no certified estimate after {max_iter} iterations: "
+                            f"gap {gap:.3e} > tol {tol:.3e}")
+        step = _newton_step(theta, kt, p, weight, forms)
+        if step is None:
+            # no Newton ascent: the factor sits at a stationary point that
+            # the certificate rejects, or is flat there within roundoff; move
+            # rho toward R's top eigenvector, then factor again
+            step = _ascent_step(density(theta), evecs[:, -1], p, weight, ops)
+            if step is None:
+                raise MleFailed(f"no step raises the likelihood; gap {gap:.3e} > tol {tol:.3e}")
+            rho, gain = step
+            theta = _factor(rho, basis)
+        else:
+            theta, gain = step
+        kt = forms @ theta
+        p = kt @ theta
+        loglike.append(loglike[-1] + gain)
+    rho = density(theta)
+    result = as_density_matrix(rho / np.trace(rho).real)
     if full_output:
-        return result, {"loglike": history, "iterations": len(history) - 1}
+        return result, {"loglike": loglike, "iterations": len(loglike) - 1, "gap": gap}
     return result
+
+
+def _newton_step(theta, kt, p, weight, forms):
+    """Damped Newton step on the unit sphere of theta: (theta, gain) with
+    gain > 0, or None.  L is scale-free, so its gradient g is orthogonal to
+    theta and the step stays in that tangent plane, where the Hessian H acts
+    as H + theta g^T + g theta^T (H theta = -g).  Curvature is taken in
+    absolute value, so that a saddle is left, not approached."""
+    c = weight / p
+    grad = 2 * (c @ kt) - 2 * theta
+    hess = 2 * (c @ forms.reshape(len(c), -1)).reshape(len(theta), -1)
+    hess -= 4 * (kt.T * (c / p)) @ kt
+    hess += np.outer(3 * theta + grad, theta) + np.outer(theta, grad)
+    hess[np.diag_indices_from(hess)] -= 2
+    # theta itself gets eigenvalue -1, and g has no component along it
+    lam, u = np.linalg.eigh(hess)
+    delta = u @ (u.T @ grad / np.maximum(np.abs(lam), 1e-12 * np.abs(lam).max()))
+    dp1, dp2, dn = 2 * (kt @ delta) / p, (forms @ delta) @ delta / p, delta @ delta
+    s = 1.0
+    while s > 1e-15:
+        # the gain in closed form, exact also for steps far below roundoff of L
+        dp = s * dp1 + s * s * dp2
+        if np.all(dp > -1):
+            gain = weight @ np.log1p(dp) - np.log1p(s * s * dn)
+            if gain > 0:
+                new = theta + s * delta
+                return new / np.linalg.norm(new), float(gain)
+        s *= 0.5
+    return None
+
+
+def _ascent_step(rho, v, p, weight, ops):
+    """(rho, gain) on the segment rho -> (1 - s) rho + s v v^dag at the s that
+    maximizes L (concave in s), or None if no s > 0 raises it."""
+    pv = np.einsum("i,kij,j->k", v.conj(), ops, v).real
+    lo, hi = 0.0, 1.0
+    for _ in range(50):
+        mid = (lo + hi) / 2
+        if weight @ ((pv - p) / ((1 - mid) * p + mid * pv)) > 0:
+            lo = mid
+        else:
+            hi = mid
+    gain = float(weight @ np.log1p(lo * (pv - p) / p))
+    if not gain > 0:
+        return None
+    return (1 - lo) * rho + lo * np.outer(v, v.conj()), gain
 
 
 def mle_reconstruct(records, bases, max_iter: int = MLE_MAX_ITER,
                     tol: float = MLE_TOL, full_output: bool = False):
-    """Maximum-likelihood state estimate from counts.
+    """Maximum-likelihood state estimate from counts, with a certificate.
 
-    Iterates the diluted multiplicative fixed-point update rho -> K rho K
-    with K = (1 - alpha) 1 + alpha R, where R reweights each basis projector
-    and its complement by observed/predicted frequency ratios.  The dilution
-    starts at 0.1 and adapts, shrinking whenever a step would lower the
-    likelihood, so the log-likelihood never decreases and the output is
-    always a valid density matrix.  Stops when the log-likelihood gain drops
-    below ``tol`` or after ``max_iter`` iterations.
+    The log-likelihood L sums, over the bases, each basis's projector and
+    its complement weighted by the observed frequencies, with the bases
+    weighted by their shots.  It is maximized by damped Newton steps on
+    rho = T T^dag / Tr[T T^dag], with T lower-triangular (dim^2 real
+    parameters), from rho = 1/dim; a step is halved until L rises, so the
+    log-likelihood never decreases and the output is always a valid density
+    matrix.  Where the triangular factor
+    stalls at a stationary point that is not the optimum, rho moves toward
+    the top eigenvector of R = dL/drho and is factored again.
+
+    Stops when the certificate gap = lambda_max(R) - 1 is at most ``tol``;
+    since L is concave in rho and Tr[R rho] = 1, the maximum L* obeys
+    L* - L <= gap.  Raises MleFailed, naming the gap, when ``max_iter``
+    steps end without that certificate; an uncertified estimate is never
+    returned.  With ``full_output`` also returns {"loglike": history,
+    "iterations": steps, "gap": final gap}.
     """
     return _mle(
         [r.frequency for r in records],

@@ -55,3 +55,56 @@ def random_unitary(rng, dim: int = 2) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def qubit_mle_oracle(records) -> np.ndarray:
+    """Exact maximum-likelihood qubit state for counts in the bases H, V, P+
+    and P- = (H - iV)/sqrt2, solved per Bloch coordinate.
+
+    H and V measure z, P+ measures x and P- measures -y.  Each coordinate c
+    has log-likelihood A log(1 + c) + B log(1 - c), where A counts the
+    outcomes that favour +c and B those that favour -c.  Inside the Bloch
+    ball the optimum is c = (A - B)/(A + B): with equal shots z = f_H - f_V,
+    x = 2 f_P+ - 1 and y = 1 - 2 f_P-.  Otherwise it lies on the sphere, where
+    A/(1 + c) - B/(1 - c) = 2 mu c with the multiplier mu > 0 set by bisection
+    so that |r| = 1; for a given mu each c follows by bisection too, since the
+    left side minus the right decreases in c.
+    """
+    favour = {"H": (0, 1), "V": (0, -1), "P+": (1, 1), "P-": (2, -1)}
+    up, down = np.zeros(3), np.zeros(3)   # outcomes favouring +z, +x, +y / -z, -x, -y
+    for r in records:
+        axis, sign = favour[r.basis_label]
+        plus, minus = (r.counts, r.shots - r.counts)[::sign]
+        up[axis] += plus
+        down[axis] += minus
+    # Bloch vector order (x, y, z) from the (z, x, y) accumulation order
+    up, down = up[[1, 2, 0]], down[[1, 2, 0]]
+    r = (up - down) / (up + down)
+    if r @ r <= 1:
+        return _bloch_state(r)
+
+    def coordinates(mu):
+        lo, hi = -np.ones(3), np.ones(3)
+        for _ in range(60):
+            c = (lo + hi) / 2
+            with np.errstate(divide="ignore", invalid="ignore"):   # c = -1 or 1 with no count
+                rising = up / (1 + c) - down / (1 - c) - 2 * mu * c > 0
+            lo, hi = np.where(rising, c, lo), np.where(rising, hi, c)
+        return (lo + hi) / 2
+
+    mu_lo, mu_hi = 0.0, 1.0
+    while np.sum(coordinates(mu_hi) ** 2) > 1:
+        mu_hi *= 2
+    for _ in range(60):
+        mu = (mu_lo + mu_hi) / 2
+        if np.sum(coordinates(mu) ** 2) > 1:
+            mu_lo = mu
+        else:
+            mu_hi = mu
+    r = coordinates((mu_lo + mu_hi) / 2)
+    return _bloch_state(r / np.linalg.norm(r))
+
+
+def _bloch_state(r) -> np.ndarray:
+    x, y, z = r
+    return np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2

@@ -1,12 +1,16 @@
 """Experiment runner: subcommands, config files, determinism, error records."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ptsim
 from ptsim import embedding
 from ptsim.cli import _run_seed, load_config, main
 from ptsim.errors import ConfigError
@@ -171,6 +175,16 @@ class TestCompile:
         assert record["success"] == "true"
         assert float(record["residual"]) < 1e-6
 
+    def test_default_record_path_is_text(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "compile", "--variant", "pt-simplified", "--family", "passive-pt",
+            "--a", "0.5", "--t", "1.0", "--restarts", "30", "--seed", "3",
+        ])
+        assert code == 0
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["compile_0.txt"]
+        assert "residual = " in (tmp_path / "out" / "compile_0.txt").read_text()
+
     def test_failure_reports_residual(self, tmp_path, capsys):
         # an unreachable target at a starved budget: failure is reported
         # with the best residual, not raised
@@ -331,6 +345,20 @@ class TestPlanning:
         assert violations_of(capsys) == ["a: cannot parse 'abc'"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["distinguishability", "--a", "0.5", "--family", "pt;embedded", "--points", "16"],
+        ["powerlaw", "--a", "1.0", "--family", "pt;embedded", "--points", "16"],
+        ["tomography", "--a", "0.5", "--family", "embedded"],
+    ], ids=lambda argv: argv[0])
+    def test_embedded_family_rejected_while_planning(self, argv, tmp_path, capsys):
+        # these experiments evolve a 2x2 Hamiltonian; the embedded family
+        # used to fail only once its run started, after the earlier runs of
+        # the sweep had written their files
+        assert main(argv + ["--out", str(tmp_path / "d_{i}.csv")]) == 2
+        assert violations_of(capsys) == [
+            "family: embedded is the two-qubit dilation; use embed or compile"]
+        assert not list(tmp_path.iterdir())
+
     def test_sweep_length_mismatch(self, tmp_path, capsys):
         code = main([
             "distinguishability", "--a", "0.5;0.6", "--c", "1;2;3",
@@ -379,3 +407,14 @@ class TestPlanning:
         flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, flags=re.M)
         assert flags == ["--config", "--seed", "--out"] + [
             f"--{key}" for key in keys.split()]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by the fits and the angle synthesis that use
+    # it, so importing the package and its runner costs neither its time nor
+    # its memory
+    src = str(Path(ptsim.__file__).resolve().parent.parent)
+    code = "import sys, ptsim, ptsim.cli; sys.exit('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "scipy.optimize was imported"

@@ -1,9 +1,12 @@
 """Measurement bases, count simulation, and state reconstruction."""
 
+import warnings
+
 import numpy as np
 import pytest
-from conftest import random_pure
+from conftest import qubit_mle_oracle, random_pure
 
+from ptsim import embedding, tomography
 from ptsim.dynamics import evolve
 from ptsim.errors import (
     DimMismatch,
@@ -12,7 +15,9 @@ from ptsim.errors import (
     UnsupportedDimension,
 )
 from ptsim.models import Family, HamiltonianSpec
-from ptsim.qcore import ID2, KET_H, fidelity, pure_state
+from ptsim.qcore import (
+    ID2, KET_H, KET_V, fidelity, mat_exp, polarization_ket, pure_state, trace_distance,
+)
 from ptsim.tomography import (
     CountRecord,
     MeasurementBasis,
@@ -26,6 +31,7 @@ from ptsim.tomography import (
 )
 
 BASES2 = standard_bases(2)
+BASES4 = standard_bases(4)
 
 
 def records_for(rho, shots, seed):
@@ -198,10 +204,95 @@ class TestMle:
             mle_from_probabilities([1.0, 0.0], BASES2[:2])
 
 
+def criterion9_records(seeds):
+    """Count records of criterion 9: pt at a = 0.5, H and V over two periods."""
+    spec, grid = HamiltonianSpec(Family.PT, 0.5), np.linspace(0.0, 2 * np.pi / np.sqrt(0.75), 32)
+    for seed in seeds:
+        for i, t in enumerate(grid):
+            for j, ket in enumerate((KET_H, KET_V)):
+                yield records_for(evolve(spec, pure_state(ket), t), 18000, seed * 10000 + 2 * i + j)
+
+
+def dilation_records(realizations, a=0.5, shots=18000):
+    """(state, count records) of the 4x4 dilation states that bench
+    `tomography` reconstructs: H and V embedded at a, 16 times over two
+    periods."""
+    h_tot = embedding.build_h_tot(a)
+    labels = [b.label for b in BASES4]
+    seed = 0
+    for _ in range(realizations):
+        for t in np.linspace(0.0, 2 * np.pi / np.sqrt(1 - a * a), 16):
+            for label in ("H", "V"):
+                rho = pure_state(mat_exp(h_tot, t) @ embedding.embed_initial(polarization_ket(label), a))
+                seed += 1
+                yield rho, simulate_counts(born_probabilities(rho, BASES4), shots, seed, labels)
+
+
+class TestMleCertificate:
+    def test_qubit_estimates_match_the_exact_optimum(self):
+        # criterion-9 counts; about half of the optima lie on the Bloch sphere
+        for records in criterion9_records(range(2)):
+            rho, info = mle_reconstruct(records, BASES2, full_output=True)
+            assert info["gap"] <= tomography.MLE_TOL
+            assert trace_distance(rho, qubit_mle_oracle(records)) < 1e-5
+
+    def test_dilation_estimates_are_certified(self):
+        records = list(dilation_records(7))
+        assert len(records) >= 200
+        for _, rec in records:
+            _, info = mle_reconstruct(rec, BASES4, max_iter=2000, tol=1e-8, full_output=True)
+            assert info["gap"] <= 1e-8
+            assert np.all(np.diff(info["loglike"]) >= 0)
+            assert info["iterations"] == len(info["loglike"]) - 1
+
+    def test_leaves_a_spurious_stationary_point(self, monkeypatch):
+        # started at the true pure state, Newton steps keep the factor's zero
+        # columns at zero and stop at the best pure state: stationary for the
+        # factor, but rejected by the certificate where the optimum has rank
+        # 2, so the step toward R's top eigenvector must take over
+        factor, ascent_step = tomography._factor, tomography._ascent_step
+        gaps_at_escape = []
+
+        def spy(rho, v, p, weight, ops):
+            gaps_at_escape.append(np.linalg.eigvalsh(np.tensordot(weight / p, ops, axes=1))[-1] - 1)
+            return ascent_step(rho, v, p, weight, ops)
+
+        monkeypatch.setattr(tomography, "_ascent_step", spy)
+        for truth, rec in dilation_records(1):
+            starts = iter([truth])
+            monkeypatch.setattr(tomography, "_factor",
+                                lambda rho, basis, starts=starts: factor(next(starts, rho), basis))
+            _, info = mle_reconstruct(rec, BASES4, max_iter=2000, tol=1e-8, full_output=True)
+            assert info["gap"] <= 1e-8
+            assert np.all(np.diff(info["loglike"]) >= 0)
+        assert max(gaps_at_escape, default=0.0) > 1e-6
+
+    def test_exhausted_iterations_raise_with_the_gap(self):
+        _, rec = next(dilation_records(1))
+        with pytest.raises(MleFailed, match=r"after 1 iterations: gap \d\.\d+e-\d+ > tol 1\.000e-14"):
+            mle_reconstruct(rec, BASES4, max_iter=1, tol=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_noiseless_pure_states_emit_no_warning(self, dim):
+        # each ket is orthogonal to one measured ket (R to P- = L, M to P+),
+        # so some frequencies are exactly 0
+        bases = standard_bases(dim)
+        kets = [polarization_ket(label) for label in ("H", "V", "M", "R")]
+        if dim == 4:
+            kets = [np.kron(k1, k2) for k1 in kets for k2 in kets]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ket in kets:
+                truth = pure_state(ket)
+                probs = born_probabilities(truth, bases)
+                assert np.any(probs == 0)
+                rho, info = mle_from_probabilities(probs, bases, full_output=True)
+                assert info["gap"] <= tomography.MLE_TOL
+                assert fidelity(rho, truth) > 1 - 1e-8
+
+
 class TestPipelineSmoke:
     def test_reconstructed_distinguishability_tracks_exact(self):
-        from ptsim.qcore import KET_V, trace_distance
-
         spec = HamiltonianSpec(Family.PT, 0.5)
         grid = np.linspace(0.0, 7.0, 8)
         errs = []
