@@ -185,7 +185,7 @@ def _run_distinguishability(v, seed, out):
     meta = {"experiment": "distinguishability", **_spec_meta(spec),
             "initial": "|".join(labels), "seed": seed}
     write_csv(out, meta, ["t", "D"], zip(series.times, series.values))
-    summary = f"family={spec.family.value} a={spec.a:g} initial={','.join(labels)}"
+    summary = f"family={spec.family.value} a={spec.a!r} initial={','.join(labels)}"
     try:
         summary += f" T_fit={fit_recurrence_time(series).parameter:.6g}"
     except (NoOscillation, ValueError):
@@ -243,7 +243,7 @@ def _run_powerlaw(v, seed, out):
             "window": f"{window[0]:g}..{window[1]:g}", "exponent_fit": fit.parameter,
             "seed": seed}
     write_csv(out, meta, ["t", "D"], zip(series.times, series.values))
-    return (f"family={spec.family.value} a={spec.a:g} initial={','.join(labels)} "
+    return (f"family={spec.family.value} a={spec.a!r} initial={','.join(labels)} "
             f"exponent={fit.parameter:.4f} (stderr {fit.stderr:.2g}) -> {out}")
 
 
@@ -252,13 +252,14 @@ def _run_embed(v, seed, out):
     if t_max is None:
         t_max = 2 * np.pi / np.sqrt(1 - a * a)   # two recurrence periods
     grid = np.linspace(0.0, t_max, v["points"])
-    d = embedding.distinguishability_series(a, k1, k2, grid)
+    d = distinguishability_series(HamiltonianSpec(Family.PT, a), pure_state(k1),
+                                  pure_state(k2), grid)
     s = embedding.entanglement_entropy_series(a, k1, grid)
     mi = embedding.mutual_information_series(a, k1, grid)
     meta = {"experiment": "embed", "a": a, "initial": "|".join(labels),
             "entropy_log_base": 2, "seed": seed}
     write_csv(out, meta, ["t", "D", "S", "I"], zip(grid, d.values, s.values, mi.values))
-    return f"a={a:g} initial={','.join(labels)} (S, I follow {labels[0]}) -> {out}"
+    return f"a={a!r} initial={','.join(labels)} (S, I follow {labels[0]}) -> {out}"
 
 
 def _run_tomography(v, seed, out):
@@ -272,7 +273,7 @@ def _run_tomography(v, seed, out):
     rows = [(r.basis_label, r.counts, r.shots, r.seed) for r in records]
     write_csv(out, meta, ["basis_label", "counts", "shots", "seed"], rows)
     fid = fidelity(mle_reconstruct(records, bases), rho)
-    return f"a={spec.a:g} t={t:g} state={state} mle_fidelity={fid:.6f} -> {out}"
+    return f"a={spec.a!r} t={t!r} state={state} mle_fidelity={fid:.6f} -> {out}"
 
 
 def _run_compile(v, seed, out):

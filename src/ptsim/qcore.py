@@ -1,6 +1,6 @@
-"""Complex linear algebra kernel: a batched closed-form propagator, exact at
-defective (exceptional) points, and trace distance, entropies and partial
-traces of one matrix or a stack (..., d, d).
+"""Complex linear algebra kernel: a batched propagator over a time grid (2x2
+in closed form, exact at exceptional points; 4x4 by expm), and trace
+distance, entropies and partial traces of one matrix or a stack (..., d, d).
 
 All operators are plain complex ndarrays of dimension 2 or 4 (hbar = 1
 throughout).  Density matrices are validated ndarrays; ``as_density_matrix``
@@ -104,8 +104,8 @@ def propagator(H, times):
 
     For 2x2, K = H - (tr H/2) 1 squares to w^2 1 with w^2 = -det K, so
     e^{-iKt} = cos(wt) 1 - i t sinc(wt) K, exact at an exceptional point
-    (w = 0); W is that scaled by e^{-|Im w| t}.  A Hermitian 4x4 H is
-    diagonalized once for all times; any other 4x4 goes through expm.
+    (w = 0); W is that scaled by e^{-|Im w| t}.  A 4x4 H goes through
+    scipy's batched expm of -iKt, with g = Im(tr H) t/4.
     """
     H = check_matrix(H)
     ts = np.asarray(times, dtype=float).reshape(-1)
@@ -127,12 +127,7 @@ def propagator(H, times):
         tsinc = sin / w if w != 0 else ts
         W = cos[:, None, None] * ID2 - 1j * tsinc[:, None, None] * K
         return W, g + np.abs(x.imag)
-    if np.array_equal(H, H.conj().T):
-        lam, V = np.linalg.eigh(K)
-        W = (V * np.exp(-1j * np.outer(ts, lam))[:, None, :]) @ V.conj().T
-    else:
-        W = expm(-1j * ts[:, None, None] * K)
-    return W, g
+    return expm(-1j * ts[:, None, None] * K), g
 
 
 def mat_exp(H, t: float) -> np.ndarray:

@@ -1,14 +1,18 @@
 """Shared helpers and independent oracles for the test suite.
 
-The matrix-exponential oracle here deliberately avoids the code paths of the
+The matrix-exponential oracles here deliberately avoid the code paths of the
 library implementation: a fixed-order Taylor series applied on successively
-halved substeps until the result stops changing.
+halved substeps until the result stops changing, and mpmath's expm in
+40-digit arithmetic.  The Taylor oracle is the weaker one near the exceptional
+point under loss (4e-11 at a = 1 + 1e-5, t = 45) and at subnormal times,
+where its norm fails; the mpmath oracle covers those cases.
 
 Property tests run under one hypothesis profile: no per-example deadline,
 since timings on a shared machine vary by far more than the examples do,
 and derandomized, so every run draws the same examples.
 """
 
+import mpmath
 import numpy as np
 from hypothesis import settings
 
@@ -37,6 +41,13 @@ def taylor_expm_oracle(H, t, order: int = 20, tol: float = 1e-13) -> np.ndarray:
         prev = result
         steps *= 2
     return prev
+
+
+def mpmath_expm_oracle(H, t, dps: int = 40) -> np.ndarray:
+    """e^{-iHt} from mpmath's expm at ``dps`` significant digits."""
+    with mpmath.workdps(dps):
+        tH = mpmath.mpf(t) * mpmath.matrix(np.asarray(H, dtype=complex).tolist())
+        return np.array(mpmath.expm(-1j * tH).tolist(), dtype=complex)
 
 
 def random_density(rng, dim: int = 2) -> np.ndarray:

@@ -13,8 +13,10 @@ import pytest
 import ptsim
 from ptsim import embedding
 from ptsim.cli import _run_seed, load_config, main
+from ptsim.dynamics import distinguishability_series
 from ptsim.errors import ConfigError
-from ptsim.qcore import KET_H, KET_V
+from ptsim.models import Family, HamiltonianSpec
+from ptsim.qcore import KET_H, KET_V, pure_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -113,12 +115,29 @@ class TestEmbed:
         t, d, s, i = np.array(rows, dtype=float).T
         grid = np.linspace(0.0, 9.0, 64)
         np.testing.assert_array_equal(t, grid)
-        np.testing.assert_array_equal(
-            d, embedding.distinguishability_series(0.5, KET_H, KET_V, grid).values)
+        np.testing.assert_array_equal(d, distinguishability_series(
+            HamiltonianSpec(Family.PT, 0.5), pure_state(KET_H), pure_state(KET_V), grid).values)
         np.testing.assert_array_equal(
             s, embedding.entanglement_entropy_series(0.5, KET_H, grid).values)
         np.testing.assert_array_equal(
             i, embedding.mutual_information_series(0.5, KET_H, grid).values)
+
+
+class TestSummaryLine:
+    @pytest.mark.parametrize("argv", [
+        ["distinguishability", "--points", "16"],
+        ["powerlaw", "--points", "64"],
+        ["embed", "--points", "16"],
+        ["tomography", "--shots", "100", "--t", "1.00000001"],
+    ], ids=lambda argv: argv[0])
+    def test_parameters_print_unrounded(self, argv, tmp_path, capsys):
+        # a = 1 - 1e-10 is in the unbroken regime; to six digits it reads as
+        # the exceptional point a = 1
+        assert main([*argv, "--a", "0.9999999999", "--out", str(tmp_path / "o.csv")]) == 0
+        printed = " " + capsys.readouterr().out
+        assert " a=0.9999999999 " in printed
+        if "--t" in argv:
+            assert " t=1.00000001 " in printed
 
 
 class TestTomography:

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ptsim import embedding
-from ptsim.dynamics import distinguishability_series, evolve, fit_recurrence_time
+from ptsim.dynamics import evolve, fit_recurrence_time
 from ptsim.embedding import (
     build_h_tot,
     embed_initial,
@@ -14,7 +15,7 @@ from ptsim.embedding import (
     postselect_pt,
     postselect_pt_density,
 )
-from ptsim.errors import InvalidDensityMatrix, MetricUndefined, PostselectionImpossible
+from ptsim.errors import MetricUndefined, PostselectionImpossible
 from ptsim.models import Family, HamiltonianSpec
 from ptsim.qcore import (
     ID2,
@@ -25,6 +26,7 @@ from ptsim.qcore import (
     partial_trace,
     pure_state,
     trace_distance,
+    von_neumann_entropy,
 )
 
 
@@ -123,14 +125,6 @@ class TestPostselection:
                     want = evolve(spec, pure_state(chi), t)
                     assert trace_distance(got, want) < 1e-9
 
-    def test_series_matches_direct_series(self):
-        a = 0.8
-        grid = np.linspace(0.0, 2 * np.pi / np.sqrt(1 - a * a), 64)
-        got = embedding.distinguishability_series(a, KET_H, KET_V, grid)
-        want = distinguishability_series(
-            HamiltonianSpec(Family.PT, a), pure_state(KET_H), pure_state(KET_V), grid)
-        np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-9)
-
     def test_density_path_matches_pure_path(self):
         psi = evolve_embedded(0.5, embed_initial(KET_H, 0.5), 1.3)
         got = postselect_pt_density(pure_state(psi))
@@ -166,7 +160,7 @@ class TestEntanglementMeasures:
         grid = np.linspace(0.0, 6.0, 64)
         s = entanglement_entropy_series(0.5, KET_H, grid)
         i = mutual_information_series(0.5, KET_H, grid)
-        np.testing.assert_allclose(i.values, 2 * s.values, atol=1e-8)
+        np.testing.assert_array_equal(i.values, 2 * s.values)
 
     def test_mutual_information_period_matches_entropy(self):
         T = np.pi / np.sqrt(0.75)
@@ -175,9 +169,34 @@ class TestEntanglementMeasures:
         i_fit = fit_recurrence_time(mutual_information_series(0.5, KET_H, grid))
         assert i_fit.parameter == pytest.approx(s_fit.parameter, rel=0.01)
 
-    def test_mixed_total_state_raises(self, monkeypatch):
-        def mixed(a, chi, times):
-            return np.tile(np.eye(4, dtype=complex) / 4, (len(times), 1, 1))
-        monkeypatch.setattr(embedding, "_evolved_total_density", mixed)
-        with pytest.raises(InvalidDensityMatrix):
-            mutual_information_series(0.5, KET_H, np.linspace(0.0, 1.0, 4))
+    def test_rejects_unnormalized_initial_state(self):
+        with pytest.raises(ValueError):
+            entanglement_entropy_series(0.5, np.array([1.0, 1.0]), [0.0, 1.0])
+
+
+def _unit_ket(entries) -> np.ndarray:
+    v = np.array(entries[:2]) + 1j * np.array(entries[2:])
+    return v / np.linalg.norm(v)
+
+
+_kets = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(_unit_ket)
+_grids = st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6, unique=True).map(sorted)
+
+
+class TestTwoByTwoRoute:
+    """The series come from the 2x2 propagator stack; the reference evolves
+    the 4x4 dilation unitarily and traces it out.  Both must agree within
+    1e-12 in entropy (base 2) for a in [0, 0.999] and any initial qubit state."""
+
+    @given(st.floats(0.0, 0.999), _kets, _grids)
+    def test_entropy_and_information_match_4x4_route(self, a, chi, times):
+        psi0 = embed_initial(chi, a)
+        rho = [pure_state(evolve_embedded(a, psi0, t)) for t in times]
+        s_sys = np.array([von_neumann_entropy(partial_trace(r, "system")) for r in rho])
+        s_anc = np.array([von_neumann_entropy(partial_trace(r, "ancilla")) for r in rho])
+        s_tot = np.array([von_neumann_entropy(r) for r in rho])
+        s = entanglement_entropy_series(a, chi, times)
+        i = mutual_information_series(a, chi, times)
+        np.testing.assert_allclose(s.values, s_sys, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(i.values, s_sys + s_anc - s_tot, rtol=0, atol=1e-12)
