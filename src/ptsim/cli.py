@@ -188,8 +188,8 @@ def _run_distinguishability(v, seed, out):
     summary = f"family={spec.family.value} a={spec.a!r} initial={','.join(labels)}"
     try:
         summary += f" T_fit={fit_recurrence_time(series).parameter:.6g}"
-    except (NoOscillation, ValueError):
-        return f"{summary} no-recurrence -> {out}"
+    except (NoOscillation, ValueError) as exc:
+        return f"{summary} no-recurrence ({exc}) -> {out}"
     if spec.family is not Family.NO_SYMMETRY and spec.a < 1:
         summary += f" T_theory={np.pi / np.sqrt(1 - spec.a**2):.6g}"
     return f"{summary} -> {out}"
@@ -219,7 +219,7 @@ def _run_scaling(v, seed, out):
         spec = HamiltonianSpec(Family.PT, a)
         if regime == "unbroken":
             theory = np.pi / np.sqrt(1 - a * a)
-            grid = np.linspace(0.0, 4 * theory, points)
+            grid = default_time_grid(spec, points)
             fit = fit_recurrence_time(distinguishability_series(spec, rho1, rho2, grid))
         else:
             theory = 1.0 / (2 * np.sqrt(a * a - 1))

@@ -34,7 +34,7 @@ class StateAnnihilated(PTSimError):
 
 
 class NoOscillation(PTSimError):
-    """Series has no spectral peak above the noise floor; no recurrence time exists."""
+    """Series does not recur on its grid, or its grid is too coarse to tell."""
 
 
 class InvalidWindow(PTSimError):

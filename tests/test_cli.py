@@ -52,6 +52,14 @@ class TestDistinguishability:
         t_fit = float(printed.split("T_fit=")[1].split()[0])
         assert t_fit == pytest.approx(np.pi / np.sqrt(0.75), rel=0.01)
 
+    def test_unresolved_peaks_say_why(self, tmp_path, capsys):
+        # the default 512-point grid at a = 0.99999 has a step of 5.5, and
+        # the peaks of D are about 1.9 wide: the series recurs, unresolved
+        code = main(["distinguishability", "--a", "0.99999", "--out", str(tmp_path / "d.csv")])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "no-recurrence (" in printed and "grid step 5.49889 " in printed
+
     def test_sweep_fans_out(self, tmp_path):
         out = tmp_path / "d_{a}.csv"
         code = main([
@@ -88,6 +96,23 @@ class TestScaling:
         assert header == ["a", "T_fit", "T_theory"]
         for a_str, t_fit, t_theory in rows:
             assert float(t_fit) == pytest.approx(float(t_theory), rel=0.01)
+
+    def test_near_exceptional_point(self, tmp_path):
+        # 20,000 points keep the grid step below 0.45 down to a = 0.999999
+        out = tmp_path / "s.csv"
+        code = main(["scaling", "--a", "0.9999,0.99999,0.999999", "--points", "20000",
+                     "--out", str(out)])
+        assert code == 0
+        _, _, rows = read_csv(out)
+        for a_str, t_fit, t_theory in rows:
+            assert float(t_fit) == pytest.approx(float(t_theory), rel=1e-4)
+
+    def test_unresolved_peaks_fail_naming_the_step(self, tmp_path, capsys):
+        code = main(["scaling", "--a", "0.99999", "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NoOscillation"
+        assert "grid step 5.49889 " in err["message"]
 
 
 class TestEmbed:
@@ -428,12 +453,26 @@ class TestPlanning:
             f"--{key}" for key in keys.split()]
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported by the fits and the angle synthesis that use
-    # it, so importing the package and its runner costs neither its time nor
-    # its memory
+def run_fresh(code: str):
+    """Run code in a new interpreter that imports ptsim from this tree; the
+    code exits nonzero when it finds scipy.optimize loaded."""
     src = str(Path(ptsim.__file__).resolve().parent.parent)
-    code = "import sys, ptsim, ptsim.cli; sys.exit('scipy.optimize' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr or "scipy.optimize was imported"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by the angle synthesis that uses it, so
+    # importing the package and its runner costs neither its time nor its
+    # memory
+    run_fresh("import sys, ptsim, ptsim.cli; sys.exit('scipy.optimize' in sys.modules)")
+
+
+def test_figure_runs_leave_scipy_optimize_unloaded(tmp_path):
+    # the recurrence and relaxation fits are linear least squares in numpy
+    runs = [["run", "--config", str(CONFIG_DIR / "fig2.cfg"), "--out", f"{tmp_path}/f{{i}}.csv"],
+            ["scaling", "--regime", "unbroken", "--out", str(tmp_path / "s.csv")]]
+    run_fresh("import sys\nfrom ptsim.cli import main\n"
+              f"for argv in {runs!r}:\n    assert main(argv) == 0\n"
+              "sys.exit('scipy.optimize' in sys.modules)")

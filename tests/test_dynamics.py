@@ -188,6 +188,46 @@ class TestRecurrenceFit:
         with pytest.raises(ValueError):
             fit_recurrence_time(series)
 
+    def test_two_crossings_have_infinite_stderr(self):
+        # 2.5 periods from a peak: upward crossings before the peaks at T, 2T
+        T = recurrence_period(0.5)
+        fit = fit_recurrence_time(hv_series(pt(0.5), 2.5 * T, 256))
+        assert fit.parameter == pytest.approx(T, rel=1e-3)
+        assert fit.stderr == np.inf and fit.residual_rms < 1e-12
+
+    def test_diagnostics_of_crossing_times(self):
+        fit = fit_recurrence_time(hv_series(pt(0.5), 15.0, 512))
+        assert 0 < fit.stderr < 1e-3 and 0 < fit.residual_rms < 1e-3
+        assert fit.window == (0.0, 15.0)
+
+
+def near_ep_series(eps, points=None):
+    """H,V series over four periods at a = 1 - eps; by default with a step of
+    at most 0.5, which resolves the peaks (about 1.9 wide) near the EP."""
+    T = recurrence_period(1 - eps)
+    return T, hv_series(pt(1 - eps), 4 * T, points or max(512, int(np.ceil(8 * T)) + 1))
+
+
+class TestRecurrenceNearExceptionalPoint:
+    # tolerance |T_fit/T - 1| <= 5e-4; the worst case over eps in [1e-8, 0.95]
+    # on these grids is about 2.1e-4
+    @given(st.floats(-6.0, np.log10(0.95)))
+    def test_period_on_resolving_grids(self, log_eps):
+        T, series = near_ep_series(10.0**log_eps)
+        assert abs(fit_recurrence_time(series).parameter / T - 1) <= 5e-4
+
+    def test_closest_approach(self):
+        T, series = near_ep_series(1e-8)   # 177,717 points
+        assert abs(fit_recurrence_time(series).parameter / T - 1) <= 5e-4
+
+    @pytest.mark.parametrize("eps", [3e-5, 1e-4])
+    def test_coarse_grid_names_its_step(self, eps):
+        # 512 points put a step of 3.2 (1.7) against peaks about 1.9 wide
+        _, series = near_ep_series(eps, points=512)
+        step = series.times[1] - series.times[0]
+        with pytest.raises(NoOscillation, match=f"grid step {step:.6g} "):
+            fit_recurrence_time(series)
+
 
 class TestRelaxationFit:
     @pytest.mark.parametrize(
@@ -205,6 +245,15 @@ class TestRelaxationFit:
             series = hv_series(pt(a), 13 * tau, 512)
             fit = fit_relaxation_time(series, (4 * tau, 12 * tau))
             assert 2 * fit.parameter * np.sqrt(a * a - 1) == pytest.approx(1.0, rel=0.02)
+
+    @pytest.mark.parametrize("a", [1.1, 1.25, 1.5, 2.0])
+    def test_later_window_shrinks_the_bias(self, a):
+        # D = C e^{-t/tau} [1 + O(e^{-t/tau})]: the bias is about -2.6e-3 on
+        # (4 tau, 12 tau) and falls by e^4 to about -4.7e-5 on (8 tau, 16 tau)
+        tau = 1 / (2 * np.sqrt(a * a - 1))
+        series = hv_series(pt(a), 17 * tau, 512)
+        fit = fit_relaxation_time(series, (8 * tau, 16 * tau))
+        assert abs(fit.parameter / tau - 1) < 1e-4
 
     def test_rejects_nonpositive_values(self):
         series = TimeSeries(
