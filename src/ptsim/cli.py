@@ -255,10 +255,10 @@ def _run_embed(v, seed, out):
     d = distinguishability_series(HamiltonianSpec(Family.PT, a), pure_state(k1),
                                   pure_state(k2), grid)
     s = embedding.entanglement_entropy_series(a, k1, grid)
-    mi = embedding.mutual_information_series(a, k1, grid)
     meta = {"experiment": "embed", "a": a, "initial": "|".join(labels),
             "entropy_log_base": 2, "seed": seed}
-    write_csv(out, meta, ["t", "D", "S", "I"], zip(grid, d.values, s.values, mi.values))
+    # the total state is pure, so I = 2S as in mutual_information_series
+    write_csv(out, meta, ["t", "D", "S", "I"], zip(grid, d.values, s.values, 2 * s.values))
     return f"a={a!r} initial={','.join(labels)} (S, I follow {labels[0]}) -> {out}"
 
 

@@ -1,8 +1,7 @@
 """Non-unitary state evolution, distinguishability time series, and the
 critical-scaling extractors: recurrence time (from mid-level crossings, so it
 holds for the narrow peaks near the exceptional point), relaxation time and
-power-law exponent.  Every fit is linear least squares in numpy; none loads
-scipy.optimize."""
+power-law exponent.  Every fit is linear least squares in numpy."""
 
 from dataclasses import dataclass, field
 

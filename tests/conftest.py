@@ -12,12 +12,29 @@ since timings on a shared machine vary by far more than the examples do,
 and derandomized, so every run draws the same examples.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 from hypothesis import settings
 
+import ptsim
+
 settings.register_profile("ptsim", deadline=None, derandomize=True)
 settings.load_profile("ptsim")
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a new interpreter that imports ptsim from this tree, and
+    return its standard output; fail if it exits nonzero."""
+    src = str(Path(ptsim.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or f"exit status {proc.returncode}"
+    return proc.stdout
 
 
 def taylor_expm_oracle(H, t, order: int = 20, tol: float = 1e-13) -> np.ndarray:

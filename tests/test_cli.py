@@ -1,16 +1,13 @@
 """Experiment runner: subcommands, config files, determinism, error records."""
 
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_fresh
 
-import ptsim
 from ptsim import embedding
 from ptsim.cli import _run_seed, load_config, main
 from ptsim.dynamics import distinguishability_series
@@ -228,6 +225,17 @@ class TestCompile:
         assert code == 0
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["compile_0.txt"]
         assert "residual = " in (tmp_path / "out" / "compile_0.txt").read_text()
+
+    def test_non_finite_target_reported(self, tmp_path, capsys):
+        target = tmp_path / "U.csv"
+        target.write_text("nan,0\n0,1\n")
+        code = main(["compile", "--variant", "full12", "--target-file", str(target),
+                     "--out", str(tmp_path / "a.txt")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "InvalidMatrix",
+                       "message": "target has non-finite entries at (0, 0)"}
+        assert not (tmp_path / "a.txt").exists()
 
     def test_failure_reports_residual(self, tmp_path, capsys):
         # an unreachable target at a starved budget: failure is reported
@@ -453,19 +461,9 @@ class TestPlanning:
             f"--{key}" for key in keys.split()]
 
 
-def run_fresh(code: str):
-    """Run code in a new interpreter that imports ptsim from this tree; the
-    code exits nonzero when it finds scipy.optimize loaded."""
-    src = str(Path(ptsim.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr or "scipy.optimize was imported"
-
-
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported by the angle synthesis that uses it, so
-    # importing the package and its runner costs neither its time nor its
-    # memory
+    # no ptsim module imports scipy.optimize, so importing the package and
+    # its runner costs neither its time nor its memory
     run_fresh("import sys, ptsim, ptsim.cli; sys.exit('scipy.optimize' in sys.modules)")
 
 
@@ -473,6 +471,19 @@ def test_figure_runs_leave_scipy_optimize_unloaded(tmp_path):
     # the recurrence and relaxation fits are linear least squares in numpy
     runs = [["run", "--config", str(CONFIG_DIR / "fig2.cfg"), "--out", f"{tmp_path}/f{{i}}.csv"],
             ["scaling", "--regime", "unbroken", "--out", str(tmp_path / "s.csv")]]
+    run_fresh("import sys\nfrom ptsim.cli import main\n"
+              f"for argv in {runs!r}:\n    assert main(argv) == 0\n"
+              "sys.exit('scipy.optimize' in sys.modules)")
+
+
+def test_compile_runs_leave_scipy_optimize_unloaded(tmp_path):
+    # angle synthesis takes Levenberg-Marquardt steps in numpy
+    runs = [["compile", "--variant", "full12", "--family", "passive-pt", "--a", "0.5",
+             "--out", str(tmp_path / "f.txt")],
+            ["compile", "--variant", "pt-simplified", "--family", "passive-pt", "--a", "1.5",
+             "--out", str(tmp_path / "p.txt")],
+            ["compile", "--variant", "two-qubit", "--family", "embedded", "--a", "0.5",
+             "--t", "0.5", "--out", str(tmp_path / "t.txt")]]
     run_fresh("import sys\nfrom ptsim.cli import main\n"
               f"for argv in {runs!r}:\n    assert main(argv) == 0\n"
               "sys.exit('scipy.optimize' in sys.modules)")

@@ -2,20 +2,26 @@
 
 import numpy as np
 import pytest
-from conftest import taylor_expm_oracle
+from conftest import run_fresh, taylor_expm_oracle
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from ptsim.errors import NotPassive, NotUnitary
+from ptsim.errors import InvalidMatrix, NotPassive, NotUnitary
 from ptsim.models import Family, HamiltonianSpec, build_hamiltonian
 from ptsim.optics import (
     AngleSolution,
     DecompositionVariant,
+    _realize_with_jacobian,
+    _residual_and_jacobian,
     build_g1,
     build_g2,
     compile_single_qubit,
     compile_two_qubit,
     free_angle_names,
     hwp,
+    loss_full,
     loss_operator,
+    loss_simplified,
     qwp,
     realize_single,
     realize_two_qubit,
@@ -26,10 +32,36 @@ from ptsim.qcore import ID2, KET_H, SIGMA_X, SIGMA_Z, pure_state, trace_distance
 FULL = DecompositionVariant.FULL12
 SYM = DecompositionVariant.SYMMETRIC5
 PTS = DecompositionVariant.PT_SIMPLIFIED
+TWO = DecompositionVariant.TWO_QUBIT
 
 
 def angles_of(variant, values):
     return dict(zip(free_angle_names(variant), values))
+
+
+def realize(variant, angles):
+    return realize_two_qubit(angles) if variant is TWO else realize_single(variant, angles)
+
+
+def written_out(variant, a):
+    """Each variant's circuit as the explicit product of its Jones elements."""
+    if variant is FULL:
+        return (qwp(a["phi8"]) @ hwp(a["theta2"]) @ qwp(a["phi7"])
+                @ loss_full(a["phi3"], a["phi4"], a["theta_V"], a["phi5"], a["phi6"], a["theta_H"])
+                @ qwp(a["phi2"]) @ hwp(a["theta1"]) @ qwp(a["phi1"]))
+    if variant is SYM:
+        return (qwp(a["phi8"]) @ hwp(a["theta2"]) @ qwp(a["phi7"])
+                @ loss_simplified(a["theta_H"], a["theta_V"])
+                @ qwp(0.0) @ hwp(a["theta1"]) @ qwp(a["phi1"]))
+    if variant is PTS:
+        t2 = a["theta2"]
+        return (hwp(t2) @ qwp(2 * t2) @ loss_simplified(a["theta_H"], a["theta_V"])
+                @ hwp(t2 + np.pi / 4) @ qwp(0.0))
+    rot = [qwp(a[f"nu{j}"]) @ hwp(a[f"theta{j}"]) @ qwp(a[f"phi{j}"]) for j in range(1, 7)]
+    zero = np.zeros((2, 2))
+    layer = [np.block([[rot[2 * k], zero], [zero, rot[2 * k + 1]]]) for k in range(3)]
+    return (layer[2] @ build_g2(a["delta75"], a["delta85"], a["delta86"]) @ layer[1]
+            @ build_g1(a["delta41"]) @ layer[0])
 
 
 class TestWavePlates:
@@ -44,6 +76,14 @@ class TestWavePlates:
         rng = np.random.default_rng(0)
         for phi in rng.uniform(-np.pi, np.pi, 50):
             np.testing.assert_allclose(qwp(phi) @ qwp(phi).conj().T, ID2, atol=1e-12)
+
+    def test_angle_arrays_give_stacks(self):
+        angles = np.array([[0.3, -1.2, 2.0], [0.0, 0.7, -3.1]])
+        for element in (qwp, hwp, build_g1):
+            stack = element(angles)
+            assert stack.shape[:2] == angles.shape
+            for idx in np.ndindex(angles.shape):
+                np.testing.assert_allclose(stack[idx], element(angles[idx]), rtol=0, atol=1e-15)
 
     def test_hwp_special_angles(self):
         np.testing.assert_allclose(hwp(0.0), SIGMA_Z, atol=1e-15)
@@ -109,6 +149,40 @@ class TestRealizeSingle:
         for _ in range(100):
             angles = angles_of(variant, rng.uniform(-np.pi, np.pi, n))
             assert np.linalg.norm(realize_single(variant, angles), 2) <= 1 + 1e-12
+
+
+class TestChains:
+    @pytest.mark.parametrize("variant", list(DecompositionVariant))
+    def test_product_is_realized_matrix(self, variant):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            x = rng.uniform(-np.pi, np.pi, len(free_angle_names(variant)))
+            angles = angles_of(variant, x)
+            realized = realize(variant, angles)
+            np.testing.assert_array_equal(_realize_with_jacobian(variant, x)[0], realized)
+            np.testing.assert_allclose(realized, written_out(variant, angles), rtol=0, atol=1e-14)
+
+    @given(st.sampled_from(list(DecompositionVariant)), st.integers(0, 2**32 - 1), st.booleans())
+    def test_jacobian_matches_central_differences(self, variant, seed, zero_target):
+        # central differences with step 1e-6 agree to 2e-8 at worst over
+        # 6,000 draws like these; a wrong or missing term is off by order one
+        rng = np.random.default_rng(seed)
+        dim = 4 if variant is TWO else 2
+        x = rng.uniform(-np.pi, np.pi, len(free_angle_names(variant)))
+        target = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        if zero_target:
+            target[:] = 0   # z = 0 at every x: the branch that fixes p = 1
+        else:
+            # p = z/|z| bends sharply where |z| is small, beyond what a
+            # central difference resolves
+            z = np.vdot(target, realize(variant, angles_of(variant, x)))
+            assume(abs(z) > 0.1 * np.linalg.norm(target))
+        _, jacobian = _residual_and_jacobian(variant, target, x)
+        h = 1e-6
+        central = [(_residual_and_jacobian(variant, target, x + h * e)[0]
+                    - _residual_and_jacobian(variant, target, x - h * e)[0]) / (2 * h)
+                   for e in np.eye(len(x))]
+        np.testing.assert_allclose(jacobian, np.transpose(central), rtol=0, atol=1e-6)
 
 
 class TestBeamDisplacerBlocks:
@@ -229,6 +303,30 @@ class TestCompileTwoQubit:
             compile_two_qubit(0.5 * np.eye(4))
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf j"])
+    @pytest.mark.parametrize("dim, compile_target", [
+        (2, lambda target: compile_single_qubit(target, FULL)),
+        (4, compile_two_qubit),
+    ], ids=["2x2", "4x4"])
+    def test_non_finite_target_named(self, dim, compile_target, bad):
+        # NaN used to end in a LinAlgError from the norm check, inf in the
+        # solver's "residuals are not finite"
+        target = np.eye(dim, dtype=complex)
+        target[1, 0] = bad
+        with pytest.raises(InvalidMatrix, match=r"non-finite entries at \(1, 0\)$"):
+            compile_target(target)
+
+    @pytest.mark.parametrize("compile_target", [
+        lambda restarts: compile_single_qubit(np.eye(2), FULL, restarts=restarts),
+        lambda restarts: compile_two_qubit(np.eye(4), restarts=restarts),
+    ], ids=["full12", "two-qubit"])
+    def test_restarts_below_one(self, compile_target):
+        for restarts in (0, -3):
+            with pytest.raises(ValueError, match="restarts must be >= 1"):
+                compile_target(restarts)
+
+
 class TestSolutionRecord:
     @pytest.mark.parametrize("compile_target", [
         lambda seed: compile_single_qubit(SIGMA_X, FULL, restarts=10, seed=seed),
@@ -240,6 +338,20 @@ class TestSolutionRecord:
         assert solution_record(compile_target(4)) == first
         parsed = dict(line.split(" = ", 1) for line in first.strip().splitlines())
         assert int(parsed["evaluations"]) > 0
+
+    def test_same_seed_gives_identical_record_in_new_interpreters(self):
+        # the angles a seed gives must not depend on the process: a solver
+        # that steps differently from identical residuals would break it
+        code = ("import numpy as np\n"
+                "from ptsim.optics import compile_single_qubit, compile_two_qubit, "
+                "solution_record\n"
+                "print(solution_record(compile_single_qubit("
+                "[[0, 0.5], [0.5j, 0.25]], 'full12', restarts=10, seed=4)))\n"
+                "print(solution_record(compile_two_qubit("
+                "np.diag([1, 1, 1, -1]), restarts=10, seed=4)))\n")
+        first = run_fresh(code)
+        assert run_fresh(code) == first
+        assert first.count("success = true") == 2
 
     def test_round_trips_as_key_value_text(self):
         sol = AngleSolution(
