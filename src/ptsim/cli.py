@@ -35,12 +35,15 @@ from .tomography import born_probabilities, mle_reconstruct, simulate_counts, st
 _SWEEP_KEYS = ("family", "a", "c", "initial")
 
 
-def _fmt(value) -> str:
+def _conversion(value) -> str:
+    """printf conversion of a value: an integer in full, a float to 17
+    significant digits (which round-trips every double), anything else as
+    its str."""
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        return "%d"
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+        return "%.17g"
+    return "%s"
 
 
 def _write_text(path, text: str):
@@ -52,10 +55,17 @@ def _write_text(path, text: str):
 
 
 def write_csv(path, meta: dict, header, rows):
-    """Write rows with deterministic formatting: 17 significant digits, LF."""
-    lines = [f"# {k} = {_fmt(v)}" for k, v in meta.items()]
+    """Write rows with deterministic formatting: 17 significant digits, LF.
+
+    Each column keeps the type of its first row, so one format string,
+    built from that row, formats every row in one call.
+    """
+    lines = [f"# {k} = " + _conversion(v) % (v,) for k, v in meta.items()]
     lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    rows = [tuple(row) for row in rows]
+    if rows:
+        row_format = ",".join(map(_conversion, rows[0]))
+        lines.extend(row_format % row for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -119,11 +119,19 @@ def fit_recurrence_time(series: TimeSeries) -> FitResult:
     is the slope's standard error from the residuals (inf for two
     crossings) and ``residual_rms`` the RMS of the crossing-time residuals.
 
+    A waveform with two unequal peaks per period that both clear the mid
+    level crosses it upward twice per period, so the slope alone reads T/2.
+    A fitted P is accepted only when the series overlaps itself shifted by
+    P: max |y(t + P) - y(t)|, with y interpolated linearly, stays within
+    max |Delta^2 y|/4, twice the interpolation error.  Otherwise P is refit
+    on every second crossing and checked again.
+
     Raises NoOscillation for a constant series, for fewer than two crossings
-    (monotone decay), and when an excursion above the mid level spans a
-    single sample, even at either end of the window: a step wider than the
+    (monotone decay), when an excursion above the mid level spans a single
+    sample, even at either end of the window (a step wider than the
     excursions leaves at most one sample in each and may step over whole
-    peaks, so counting crossings would return a multiple of T.
+    peaks, so counting crossings would return a multiple of T), and when
+    neither fit overlaps the series with itself.
     """
     t, y = series.times, series.values
     if len(t) < 64:
@@ -145,16 +153,25 @@ def fit_recurrence_time(series: TimeSeries) -> FitResult:
     if len(i) < 2:
         raise NoOscillation("fewer than two upward crossings of the mid level")
     crossings = t[i - 1] + (mid - y[i - 1]) / (y[i] - y[i - 1]) * dt[i - 1]
-    k = np.arange(len(i)) - (len(i) - 1) / 2
-    period = float(k @ crossings / (k @ k))
-    resid = crossings - crossings.mean() - period * k
-    sse = float(resid @ resid)
-    return FitResult(
-        parameter=period,
-        stderr=float(np.sqrt(sse / (len(i) - 2) / (k @ k))) if len(i) > 2 else np.inf,
-        window=(float(t[0]), float(t[-1])),
-        residual_rms=float(np.sqrt(sse / len(i))),
-    )
+    tol = np.abs(np.diff(y, 2)).max() / 4
+    for c in (crossings, crossings[::2]):
+        if len(c) < 2:
+            break
+        k = np.arange(len(c)) - (len(c) - 1) / 2
+        period = float(k @ c / (k @ k))
+        shifted = t[t <= t[-1] - period]
+        if np.abs(np.interp(shifted + period, t, y) - y[:len(shifted)]).max() > tol:
+            continue
+        resid = c - c.mean() - period * k
+        sse = float(resid @ resid)
+        return FitResult(
+            parameter=period,
+            stderr=float(np.sqrt(sse / (len(c) - 2) / (k @ k))) if len(c) > 2 else np.inf,
+            window=(float(t[0]), float(t[-1])),
+            residual_rms=float(np.sqrt(sse / len(c))),
+        )
+    raise NoOscillation(f"the series does not overlap itself shifted by its fitted period "
+                        f"{period:.6g} within {tol:.3g}")
 
 
 def _window_slice(series: TimeSeries, window, log_time: bool):

@@ -74,19 +74,6 @@ def postselect_pt(psi) -> np.ndarray:
     return as_density_matrix(pure_state(block))
 
 
-def postselect_pt_density(rho_tot) -> np.ndarray:
-    """Post-selection for a (possibly mixed) two-qubit density matrix:
-    project onto |u><u| (x) 1, trace out the ancilla, renormalize."""
-    rho = np.asarray(rho_tot, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
-    block = rho[:2, :2]
-    weight = np.trace(block).real
-    if weight <= 1e-150:
-        raise PostselectionImpossible("the |u> block has vanishing weight")
-    return as_density_matrix(block / weight)
-
-
 def entanglement_entropy_series(a: float, chi, times) -> TimeSeries:
     """System-ancilla entanglement entropy (base-2) along the time grid.
 

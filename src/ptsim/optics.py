@@ -134,19 +134,6 @@ def loss_full(phi3, phi4, theta_V, phi5, phi6, theta_H) -> np.ndarray:
     return _matrix([[zero, xi], [eta, zero]])
 
 
-def loss_operator(variant, angles: dict) -> np.ndarray:
-    """Loss element of a single-qubit variant from named angles."""
-    variant = DecompositionVariant(variant)
-    if variant is DecompositionVariant.FULL12:
-        return loss_full(
-            angles["phi3"], angles["phi4"], angles["theta_V"],
-            angles["phi5"], angles["phi6"], angles["theta_H"],
-        )
-    if variant in (DecompositionVariant.SYMMETRIC5, DecompositionVariant.PT_SIMPLIFIED):
-        return loss_simplified(angles["theta_H"], angles["theta_V"])
-    raise ValueError("the two-qubit variant has no single loss element")
-
-
 def build_g1(delta41) -> np.ndarray:
     """First beam-displacer block; unitary for any delta41."""
     s, c = np.sin(2 * delta41), np.cos(2 * delta41)

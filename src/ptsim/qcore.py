@@ -1,6 +1,7 @@
 """Complex linear algebra kernel: a batched propagator over a time grid (2x2
-in closed form, exact at exceptional points; 4x4 by expm), and trace
-distance, entropies and partial traces of one matrix or a stack (..., d, d).
+in closed form, exact at exceptional points; Hermitian 4x4 by ``eigh``), and
+trace distance, entropies and partial traces of one matrix or a stack
+(..., d, d).
 
 All operators are plain complex ndarrays of dimension 2 or 4 (hbar = 1
 throughout).  Density matrices are validated ndarrays; ``as_density_matrix``
@@ -8,9 +9,9 @@ is the single entry point that symmetrizes and checks the invariants.
 """
 
 import cmath
+import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimMismatch, InvalidDensityMatrix, InvalidMatrix
 
@@ -98,14 +99,42 @@ def normalized(ket) -> np.ndarray:
     return v / n
 
 
+def _two_product(x: float, y: float):
+    """(p, e) with p = fl(x y) and p + e = x y exactly: Dekker's TwoProduct
+    on Veltkamp's split of each factor into two 26-bit halves (Numer. Math.
+    18, 224 (1971)).  Exact unless a product overflows or underflows."""
+    p = x * y
+    c = 134217729.0 * x   # 2^27 + 1
+    x1 = c - (c - x)
+    c = 134217729.0 * y
+    y1 = c - (c - y)
+    x2, y2 = x - x1, y - y1
+    return p, ((x1 * y1 - p) + x1 * y2 + x2 * y1) + x2 * y2
+
+
+def _squared_frequency(k00: complex, k01: complex, k10: complex) -> complex:
+    """w^2 = k01 k10 + k00^2 of a traceless 2x2 K, rounded once.
+
+    Near an exceptional point w^2 cancels to O(epsilon) from O(1) products,
+    so a product rounded before the sum leaves w a relative error of order
+    u/epsilon; summing the exact halves of every real product with fsum
+    does not.
+    """
+    (p, q), (r, s), (x, y) = ((z.real, z.imag) for z in (k01, k10, k00))
+    re = [*_two_product(p, r), *_two_product(-q, s), *_two_product(x, x), *_two_product(-y, y)]
+    im = [*_two_product(p, s), *_two_product(q, r), *_two_product(2 * x, y)]
+    return complex(math.fsum(re), math.fsum(im))
+
+
 def propagator(H, times):
     """Scale-free stack ``(W, g)`` over a time grid: W of shape (N, d, d) has
     entries of order one and e^{-iHt} = e^{-i Re(tr H) t/d} e^{g} W.
 
-    For 2x2, K = H - (tr H/2) 1 squares to w^2 1 with w^2 = -det K, so
-    e^{-iKt} = cos(wt) 1 - i t sinc(wt) K, exact at an exceptional point
-    (w = 0); W is that scaled by e^{-|Im w| t}.  A 4x4 H goes through
-    scipy's batched expm of -iKt, with g = Im(tr H) t/4.
+    For 2x2, K = H - (tr H/2) 1 squares to w^2 1 with w^2 = k01 k10 + k00^2,
+    so e^{-iKt} = cos(wt) 1 - i t sinc(wt) K, exact at an exceptional point
+    (w = 0); W is that scaled by e^{-|Im w| t}.  A 4x4 K = H - (tr H/4) 1
+    must be Hermitian, as the dilation generator is, and W = V e^{-i Lambda t}
+    V^dag from one ``eigh``, with g = Im(tr H) t/4; otherwise InvalidMatrix.
     """
     H = check_matrix(H)
     ts = np.asarray(times, dtype=float).reshape(-1)
@@ -115,8 +144,8 @@ def propagator(H, times):
     K = H - shift * np.eye(len(H))
     g = shift.imag * ts
     if len(H) == 2:
-        (k00, k01), (k10, k11) = K.tolist()
-        w = cmath.sqrt(k01 * k10 - k00 * k11)
+        (k00, k01), (k10, _) = K.tolist()
+        w = cmath.sqrt(_squared_frequency(k00, k01, k10))
         x = w * ts
         # cosh and sinh of Im(wt), both scaled by e^{-|Im wt|}
         e2 = np.expm1(-2 * np.abs(x.imag))
@@ -127,11 +156,17 @@ def propagator(H, times):
         tsinc = sin / w if w != 0 else ts
         W = cos[:, None, None] * ID2 - 1j * tsinc[:, None, None] * K
         return W, g + np.abs(x.imag)
-    return expm(-1j * ts[:, None, None] * K), g
+    defect = np.abs(K - K.conj().T).max()
+    if defect > HERMITICITY_TOL * max(1.0, np.abs(K).max()):
+        raise InvalidMatrix(f"a 4x4 generator must be Hermitian up to its trace: "
+                            f"K - K^dag has an entry of size {defect:.3e}")
+    lam, V = np.linalg.eigh(K)
+    return (V * np.exp(-1j * ts[:, None, None] * lam)) @ V.conj().T, g
 
 
 def mat_exp(H, t: float) -> np.ndarray:
-    """Evolution operator e^{-iHt} for a 2x2 or 4x4 complex matrix H.
+    """Evolution operator e^{-iHt} for a 2x2 complex matrix H, or a 4x4 one
+    that is Hermitian up to a multiple of the identity.
 
     The one-point case of ``propagator`` with the scalar factor restored, so
     it is exact at exceptional points and overflows only where e^{-iHt}

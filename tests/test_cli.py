@@ -2,14 +2,17 @@
 
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import run_fresh
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ptsim import embedding
-from ptsim.cli import _run_seed, load_config, main
+from ptsim.cli import _run_seed, load_config, main, write_csv
 from ptsim.dynamics import distinguishability_series
 from ptsim.errors import ConfigError
 from ptsim.models import Family, HamiltonianSpec
@@ -346,6 +349,37 @@ class TestDeterminism:
         assert out1.read_bytes() != out2.read_bytes()
 
 
+def per_value_text(value) -> str:
+    """The CSV text of one value, formatted on its own."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+_doubles = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+class TestCsvFormat:
+    @given(st.lists(st.tuples(st.integers(-2**70, 2**70), _doubles, _doubles.map(np.float64),
+                              st.integers(-2**62, 2**62).map(np.int64), st.text("HVPM+-")),
+                    max_size=8))
+    @example([(0, -0.0, np.float64(5e-324), np.int64(-1), "P+"),
+              (-7, float("nan"), np.float64(-np.inf), np.int64(2**62), ""),
+              (2**64, float("inf"), np.float64(-2.2250738585072014e-308), np.int64(0), "H")])
+    def test_row_format_matches_per_value_text(self, rows):
+        meta = {"seed": 3, "a": -0.0, "tiny": 5e-324, "label": "H|V", "n": np.int64(4)}
+        header = ["i", "x", "y", "j", "s"]
+        want = "".join(f"# {k} = {per_value_text(v)}\n" for k, v in meta.items())
+        want += ",".join(header) + "\n"
+        want += "".join(",".join(map(per_value_text, row)) + "\n" for row in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "t.csv"
+            write_csv(out, meta, header, iter(rows))
+            assert out.read_bytes() == want.encode()
+
+
 def violations_of(capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
@@ -462,18 +496,21 @@ class TestPlanning:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # no ptsim module imports scipy.optimize, so importing the package and
-    # its runner costs neither its time nor its memory
-    run_fresh("import sys, ptsim, ptsim.cli; sys.exit('scipy.optimize' in sys.modules)")
+    # ptsim needs numpy alone, so importing the package and its runner costs
+    # neither scipy's import time nor its memory
+    run_fresh("import sys, ptsim, ptsim.cli; sys.exit('scipy' in sys.modules)")
 
 
 def test_figure_runs_leave_scipy_optimize_unloaded(tmp_path):
-    # the recurrence and relaxation fits are linear least squares in numpy
+    # the fits are linear least squares in numpy, the dilation series and the
+    # 4x4 propagator use numpy's eigh, and MLE its own Newton steps
     runs = [["run", "--config", str(CONFIG_DIR / "fig2.cfg"), "--out", f"{tmp_path}/f{{i}}.csv"],
-            ["scaling", "--regime", "unbroken", "--out", str(tmp_path / "s.csv")]]
+            ["scaling", "--regime", "unbroken", "--out", str(tmp_path / "s.csv")],
+            ["embed", "--a", "0.5", "--out", str(tmp_path / "e.csv")],
+            ["tomography", "--a", "0.5", "--shots", "2000", "--out", str(tmp_path / "t.csv")]]
     run_fresh("import sys\nfrom ptsim.cli import main\n"
               f"for argv in {runs!r}:\n    assert main(argv) == 0\n"
-              "sys.exit('scipy.optimize' in sys.modules)")
+              "sys.exit('scipy' in sys.modules)")
 
 
 def test_compile_runs_leave_scipy_optimize_unloaded(tmp_path):
@@ -486,4 +523,4 @@ def test_compile_runs_leave_scipy_optimize_unloaded(tmp_path):
              "--t", "0.5", "--out", str(tmp_path / "t.txt")]]
     run_fresh("import sys\nfrom ptsim.cli import main\n"
               f"for argv in {runs!r}:\n    assert main(argv) == 0\n"
-              "sys.exit('scipy.optimize' in sys.modules)")
+              "sys.exit('scipy' in sys.modules)")

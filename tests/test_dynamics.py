@@ -1,5 +1,8 @@
 """Non-unitary evolution, distinguishability series, and the scaling fits."""
 
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 from conftest import random_pure
@@ -227,6 +230,97 @@ class TestRecurrenceNearExceptionalPoint:
         step = series.times[1] - series.times[0]
         with pytest.raises(NoOscillation, match=f"grid step {step:.6g} "):
             fit_recurrence_time(series)
+
+
+def closed_form_distinguishability(spec, k1, k2, times):
+    """D(t) of two pure states from phi = cos(wt) psi - i sin(wt)/w K psi,
+    with K the traceless part of H and w^2 = -det K (unbroken regime)."""
+    H = build_hamiltonian(spec)
+    K = H - np.trace(H) / 2 * np.eye(2)
+    w = np.sqrt(-np.linalg.det(K))
+    c, s = np.cos(w * times)[:, None], (np.sin(w * times) / w)[:, None]
+    p1, p2 = (c * k - 1j * s * (K @ k) for k in (k1, k2))
+    overlap = np.abs(np.sum(p1.conj() * p2, 1)) ** 2 / (
+        np.sum(np.abs(p1) ** 2, 1) * np.sum(np.abs(p2) ** 2, 1))
+    return np.sqrt(np.clip(1 - overlap, 0, None))
+
+
+def true_period(spec, k1, k2):
+    """Least period of D: the states recur at T = pi/w, and D for some pairs
+    already at T/2, where phi(t + T/2) = -i K phi(t)/w."""
+    T = recurrence_period(spec.a)
+    t = np.linspace(0.0, T / 2, 2001)
+    d, shifted = (closed_form_distinguishability(spec, k1, k2, s) for s in (t, t + T / 2))
+    return T / 2 if np.abs(d - shifted).max() < 1e-9 else T
+
+
+_LABELS = ("H", "V", "P+", "M", "R", "L")
+
+
+class TestRecurrenceFitPeriodMultiplicity:
+    def series(self, family, pair, a):
+        spec = HamiltonianSpec(family, a)
+        k1, k2 = (polarization_ket(label) for label in pair)
+        T = recurrence_period(a)
+        grid = np.linspace(0.0, 4 * T, max(512, int(np.ceil(32 * T)) + 1))
+        return (distinguishability_series(spec, pure_state(k1), pure_state(k2), grid),
+                true_period(spec, k1, k2))
+
+    @given(st.sampled_from([Family.PT, Family.PASSIVE_PT, Family.TIME_REVERSAL]),
+           st.sampled_from(list(itertools.combinations(_LABELS, 2))), st.floats(0.05, 0.99))
+    def test_period_matches_the_closed_form(self, family, pair, a):
+        series, truth = self.series(family, pair, a)
+        try:
+            period = fit_recurrence_time(series).parameter
+        except NoOscillation as exc:
+            # a secondary peak that grazes the mid level is refused, not misread
+            assert "spans one sample" in str(exc)
+            return
+        assert abs(period / truth - 1) <= 1e-3
+
+    @pytest.mark.parametrize("family, pair, a", [
+        (Family.PT, ("H", "L"), 0.95), (Family.PT, ("H", "L"), 0.99),
+        (Family.PASSIVE_PT, ("P+", "L"), 0.99), (Family.TIME_REVERSAL, ("H", "P+"), 0.95),
+        (Family.TIME_REVERSAL, ("H", "R"), 0.99)])
+    def test_two_peaks_per_period_give_one_period(self, family, pair, a):
+        # both peaks clear the mid level, so every other upward crossing is
+        # one period apart; the all-crossings slope reads T/2
+        series, truth = self.series(family, pair, a)
+        assert truth == recurrence_period(a)
+        assert abs(fit_recurrence_time(series).parameter / truth - 1) <= 1e-3
+
+    def test_series_that_never_repeats(self):
+        t = np.linspace(0.0, 60.0, 2048)
+        series = TimeSeries(t, np.sin(t) + np.sin(np.sqrt(2) * t))
+        with pytest.raises(NoOscillation, match="does not overlap itself"):
+            fit_recurrence_time(series)
+
+
+def mpmath_distinguishability(H, k1, k2, t, dps=40):
+    """D(t) of two pure states evolved by mpmath's expm at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        U = mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(H.tolist()))
+        p1, p2 = (U * mpmath.matrix(k.tolist()) for k in (k1, k2))
+        overlap = abs((p1.H * p2)[0]) ** 2 / ((p1.H * p1)[0] * (p2.H * p2)[0]).real
+        return float(mpmath.sqrt(1 - overlap))
+
+
+class TestSeriesNearExceptionalPoint:
+    @pytest.mark.parametrize("k", range(3, 9))
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_against_mpmath(self, k, side):
+        # four recurrence periods below the EP, four relaxation times above
+        a = 1 + side * 10.0**-k
+        scale = recurrence_period(a) if a < 1 else 1 / (2 * np.sqrt(a * a - 1))
+        times = 4 * scale + np.array([0.0, 0.5, 1.0, 3.0])
+        got = distinguishability_series(pt(a), RHO_H, RHO_V, times).values
+        want = [mpmath_distinguishability(build_hamiltonian(pt(a)), KET_H, KET_V, t)
+                for t in times]
+        # below the EP, the rounding of t alone moves D by about u t; above
+        # it, D is the difference of two nearly equal states
+        eps = np.finfo(float).eps
+        tol = 16 * eps * times if a < 1 else 8 * eps
+        assert np.all(np.abs(got - want) <= tol)
 
 
 class TestRelaxationFit:

@@ -13,7 +13,6 @@ from ptsim.embedding import (
     evolve_embedded,
     mutual_information_series,
     postselect_pt,
-    postselect_pt_density,
 )
 from ptsim.errors import MetricUndefined, PostselectionImpossible
 from ptsim.models import Family, HamiltonianSpec
@@ -124,12 +123,6 @@ class TestPostselection:
                     got = postselect_pt(evolve_embedded(a, psi0, t))
                     want = evolve(spec, pure_state(chi), t)
                     assert trace_distance(got, want) < 1e-9
-
-    def test_density_path_matches_pure_path(self):
-        psi = evolve_embedded(0.5, embed_initial(KET_H, 0.5), 1.3)
-        got = postselect_pt_density(pure_state(psi))
-        want = postselect_pt(psi)
-        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 class TestEntanglementMeasures:

@@ -20,7 +20,6 @@ from ptsim.optics import (
     free_angle_names,
     hwp,
     loss_full,
-    loss_operator,
     loss_simplified,
     qwp,
     realize_single,
@@ -94,11 +93,11 @@ class TestWavePlates:
 
 class TestLossOperator:
     def test_simplified_full_transmission(self):
-        got = loss_operator(SYM, {"theta_H": np.pi / 4, "theta_V": np.pi / 4})
+        got = loss_simplified(np.pi / 4, np.pi / 4)
         np.testing.assert_allclose(got, SIGMA_X, atol=1e-15)
 
     def test_simplified_asymmetric(self):
-        got = loss_operator(PTS, {"theta_H": np.pi / 12, "theta_V": np.pi / 4})
+        got = loss_simplified(np.pi / 12, np.pi / 4)
         np.testing.assert_allclose(got, np.array([[0, 1], [0.5, 0]]), atol=1e-12)
 
     def test_full_reduces_at_zero_inner_angles(self):
@@ -106,23 +105,14 @@ class TestLossOperator:
         # xi = i sin 2theta_V and eta = i sin 2theta_H
         rng = np.random.default_rng(3)
         for th, tv in rng.uniform(-np.pi, np.pi, (20, 2)):
-            angles = dict(
-                phi3=0.0, phi4=0.0, phi5=0.0, phi6=0.0, theta_H=th, theta_V=tv,
-                phi1=0.0, theta1=0.0, phi2=0.0, phi7=0.0, theta2=0.0, phi8=0.0,
-            )
-            got = loss_operator(FULL, angles)
+            got = loss_full(0.0, 0.0, tv, 0.0, 0.0, th)
             want = np.array([[0, 1j * np.sin(2 * tv)], [1j * np.sin(2 * th), 0]])
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_singular_values_bounded(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            angles = angles_of(FULL, rng.uniform(-np.pi, np.pi, 12))
-            assert np.linalg.norm(loss_operator(FULL, angles), 2) <= 1 + 1e-12
-
-    def test_two_qubit_has_no_loss_element(self):
-        with pytest.raises(ValueError):
-            loss_operator(DecompositionVariant.TWO_QUBIT, {})
+            assert np.linalg.norm(loss_full(*rng.uniform(-np.pi, np.pi, 6)), 2) <= 1 + 1e-12
 
 
 class TestRealizeSingle:

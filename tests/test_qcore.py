@@ -159,7 +159,29 @@ class TestPropagator:
 
     def test_non_hermitian_4x4(self):
         H = np.kron(SIGMA_Z, SIGMA_X + 0.5j * SIGMA_Z)
-        assert spectral_rel_err(mat_exp(H, 0.8), taylor_expm_oracle(H, 0.8)) < 1e-12
+        with pytest.raises(InvalidMatrix, match="must be Hermitian up to its trace: "
+                                                "K - K\\^dag has an entry of size 1.000e\\+00"):
+            propagator(H, [0.8])
+
+    def test_trace_of_4x4_may_be_complex(self):
+        # only K = H - (tr H/4) 1 must be Hermitian; Im tr H goes into g
+        H = np.kron(SIGMA_Z, SIGMA_X) + 0.25j * np.eye(4)
+        W, g = propagator(H, [0.0, 2.0])
+        np.testing.assert_allclose(g, [0.0, 0.5], rtol=1e-15)
+        assert spectral_rel_err(mat_exp(H, 2.0), taylor_expm_oracle(H, 2.0)) < 1e-12
+
+    @pytest.mark.parametrize("a", [0.5, 0.99])
+    def test_dilation_generator_vs_mpmath(self, a):
+        from ptsim.embedding import build_h_tot
+
+        H = build_h_tot(a)
+        times = [0.0, 0.3, 2.0, 7.5, 19.0, 40.0]
+        W, g = propagator(H, times)
+        assert np.all(g == 0)
+        phase = np.trace(H).real / 4
+        for t, w in zip(times, W):
+            got = np.exp(-1j * phase * t) * w
+            assert spectral_rel_err(got, mpmath_expm_oracle(H, t)) < 1e-12
 
 
 class TestTraceDistance:
