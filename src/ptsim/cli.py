@@ -14,6 +14,7 @@ one output file) per entry; every run is checked before the first one starts.
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -58,14 +59,16 @@ def write_csv(path, meta: dict, header, rows):
     """Write rows with deterministic formatting: 17 significant digits, LF.
 
     Each column keeps the type of its first row, so one format string,
-    built from that row, formats every row in one call.
+    built from that row and repeated once per row, formats the whole body in
+    one call.
     """
     lines = [f"# {k} = " + _conversion(v) % (v,) for k, v in meta.items()]
     lines.append(",".join(header))
-    rows = [tuple(row) for row in rows]
+    rows = list(rows)
     if rows:
         row_format = ",".join(map(_conversion, rows[0]))
-        lines.extend(row_format % row for row in rows)
+        lines.append("\n".join([row_format] * len(rows))
+                     % tuple(itertools.chain.from_iterable(rows)))
     _write_text(path, "\n".join(lines) + "\n")
 
 

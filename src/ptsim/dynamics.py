@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidWindow, NoOscillation, StateAnnihilated
 from .models import HamiltonianSpec, build_hamiltonian, classify_regime
-from .qcore import as_density_matrix, propagator, trace_distance
+from .qcore import as_density_matrix, propagator
 
 TRACE_FLOOR = 1e-300
 _LOG_TRACE_FLOOR = np.log(TRACE_FLOOR)
@@ -57,32 +57,62 @@ def evolve(spec: HamiltonianSpec, rho0, t: float) -> np.ndarray:
         raise ValueError(f"t must be >= 0, got {t!r}")
     rho0 = as_density_matrix(rho0)
     W, g = propagator(build_hamiltonian(spec), [t])
-    return as_density_matrix(_normalized_evolution(W, g, rho0, [t])[0])
+    (m00,), (m11,), (m01,) = _normalized_evolution(W, g, rho0, [t])
+    return np.array([[m00, m01], [m01.conjugate(), m11]])
 
 
 def _normalized_evolution(W, g, rho, times):
-    """W rho W^dag / Tr[W rho W^dag] over a ``propagator`` stack; the survival
-    probability e^{2g} Tr[W rho W^dag] is tested as a logarithm, which no
-    amplified state overflows."""
-    m = W @ rho @ W.conj().transpose(0, 2, 1)
-    tr = m.trace(axis1=1, axis2=2).real
+    """Entries (m00, m11, m01) of W rho W^dag / Tr[W rho W^dag] over a
+    ``propagator`` stack, m00 and m11 real.
+
+    rho is evolved as kets.  With k the index of its larger diagonal entry
+    and j the other, rho_kk rho = f f^dag + s e_j e_j^dag, where f is column k
+    of rho and s = det rho >= 0 (0 for a pure state).  So
+    rho_kk W rho W^dag = u u^dag + s v v^dag with u = W f and v = W e_j,
+    column j of W, and W is applied as products of its entries.  An
+    eigenvector factor would not do: its rounding leaks into the other
+    direction, which W amplifies by t near the exceptional point.  The
+    survival probability e^{2g} Tr[W rho W^dag] is tested as a logarithm,
+    which no amplified state overflows.
+    """
+    k = int(rho[1, 1].real > rho[0, 0].real)
+    f0, f1 = rho[0, k], rho[1, k]
+    u0 = W[:, 0, 0] * f0 + W[:, 0, 1] * f1
+    u1 = W[:, 1, 0] * f0 + W[:, 1, 1] * f1
+    m00 = u0.real**2 + u0.imag**2
+    m11 = u1.real**2 + u1.imag**2
+    m01 = u0 * u1.conj()
+    s = max((rho[0, 0] * rho[1, 1]).real - abs(rho[0, 1]) ** 2, 0.0)
+    if s > 0:
+        v0, v1 = W[:, 0, 1 - k], W[:, 1, 1 - k]
+        m00 = m00 + s * (v0.real**2 + v0.imag**2)
+        m11 = m11 + s * (v1.real**2 + v1.imag**2)
+        m01 = m01 + s * (v0 * v1.conj())
+    tr = m00 + m11
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(tr) + 2 * g
+        log_p = np.log(tr) + (2 * g - np.log(rho[k, k].real))
     if not log_p.min(initial=np.inf) >= _LOG_TRACE_FLOOR:   # NaN fails too
-        k = np.argmax(~(log_p >= _LOG_TRACE_FLOOR))
-        raise StateAnnihilated(f"log survival probability {log_p[k]:.6g} is below "
-                               f"log(TRACE_FLOOR) = {_LOG_TRACE_FLOOR:.6g} at t = {times[k]}")
-    return m / tr[:, None, None]
+        i = np.argmax(~(log_p >= _LOG_TRACE_FLOOR))
+        raise StateAnnihilated(f"log survival probability {log_p[i]:.6g} is below "
+                               f"log(TRACE_FLOOR) = {_LOG_TRACE_FLOOR:.6g} at t = {times[i]}")
+    return m00 / tr, m11 / tr, m01 / tr
 
 
 def distinguishability_series(spec: HamiltonianSpec, rho1, rho2, times) -> TimeSeries:
-    """Trace distance between the two evolved states at each grid time."""
+    """Trace distance between the two evolved states at each grid time.
+
+    The difference of two unit-trace qubit states has eigenvalues +-r with
+    r^2 = ((d00 - d11)/2)^2 + |d01|^2, so D = r, clipped to 1.
+    """
     rho1 = as_density_matrix(rho1)
     rho2 = as_density_matrix(rho2)
     ts = np.asarray(times, dtype=float)
     W, g = propagator(build_hamiltonian(spec), ts)
-    vals = trace_distance(_normalized_evolution(W, g, rho1, ts),
-                          _normalized_evolution(W, g, rho2, ts))
+    a00, a11, a01 = _normalized_evolution(W, g, rho1, ts)
+    b00, b11, b01 = _normalized_evolution(W, g, rho2, ts)
+    z = ((a00 - b00) - (a11 - b11)) / 2
+    d01 = a01 - b01
+    vals = np.minimum(np.sqrt(z * z + d01.real**2 + d01.imag**2), 1.0)
     label = f"D(t) {spec.family.value} a={spec.a:g}"
     if spec.family.value == "nosym":
         label += f" c={spec.c:g}"
@@ -127,11 +157,14 @@ def fit_recurrence_time(series: TimeSeries) -> FitResult:
     on every second crossing and checked again.
 
     Raises NoOscillation for a constant series, for fewer than two crossings
-    (monotone decay), when an excursion above the mid level spans a single
-    sample, even at either end of the window (a step wider than the
-    excursions leaves at most one sample in each and may step over whole
-    peaks, so counting crossings would return a multiple of T), and when
-    neither fit overlaps the series with itself.
+    (monotone decay), when an excursion above the mid level inside the
+    window spans a single sample (a step wider than the excursions leaves at
+    most one sample in each and may step over whole peaks, so counting
+    crossings would return a multiple of T), and when neither fit overlaps
+    the series with itself.  An excursion that touches either end of the
+    window is cut short by it, so its length says nothing of the step; it is
+    judged by the one-sample rule only when no excursion lies wholly inside
+    the window (a grid that steps over every interior peak).
     """
     t, y = series.times, series.values
     if len(t) < 64:
@@ -145,7 +178,8 @@ def fit_recurrence_time(series: TimeSeries) -> FitResult:
     mid = (hi + lo) / 2
     edges = np.diff((y > mid).astype(np.int8), prepend=0, append=0)
     starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    single = starts[ends - starts == 1]
+    inside = (starts > 0) & (ends < len(y))
+    single = starts[(ends - starts == 1) & (inside | ~inside.any())]
     if len(single):
         raise NoOscillation(f"the excursion above the mid level at t = {t[single[0]]:.6g} "
                             f"spans one sample; the grid step {dt[0]:.6g} does not resolve it")

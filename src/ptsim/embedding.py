@@ -16,6 +16,7 @@ import numpy as np
 from .errors import PostselectionImpossible
 from .models import Family, HamiltonianSpec, build_hamiltonian, metric_eta, normalization_c
 from .qcore import (
+    ENTROPY_CUTOFF,
     ID2,
     SIGMA_Y,
     as_density_matrix,
@@ -23,7 +24,6 @@ from .qcore import (
     normalized,
     propagator,
     pure_state,
-    von_neumann_entropy,
 )
 from .dynamics import TimeSeries
 
@@ -80,15 +80,26 @@ def entanglement_entropy_series(a: float, chi, times) -> TimeSeries:
     The evolved state is |u> (x) phi + |d> (x) eta phi, normalized, with
     phi = W(t) chi from the 2x2 propagator.  It is pure, so system and
     ancilla share one entropy; the ancilla's state is the trace-normalized
-    Gram matrix of the blocks (phi, eta phi).
+    Gram matrix of the blocks (phi, psi = eta phi).  Its determinant is
+    |phi_0 psi_1 - phi_1 psi_0|^2 (Lagrange's identity), never negative, so
+    its smaller eigenvalue is lambda = 2 det/(1 + sqrt(1 - 4 det)) after
+    normalization, and the larger 1 - lambda.  As in ``von_neumann_entropy``,
+    an eigenvalue at or below ENTROPY_CUTOFF contributes nothing.
     """
     ts = np.asarray(times, dtype=float)
     W, _ = propagator(build_hamiltonian(HamiltonianSpec(Family.PT, a)), ts)
-    phi = W @ embed_initial(chi, a)[:2]   # the |u> block validates chi
-    blocks = np.stack([phi, phi @ metric_eta(a).T], axis=1)   # rows phi, eta phi
-    gram = blocks @ blocks.conj().transpose(0, 2, 1)
-    rho_anc = gram / np.trace(gram, axis1=1, axis2=2).real[:, None, None]
-    return TimeSeries(times=ts, values=von_neumann_entropy(rho_anc), label=f"S(t) a={a:g}")
+    c0, c1 = embed_initial(chi, a)[:2]   # the |u> block validates chi
+    (e00, e01), (e10, e11) = metric_eta(a)
+    phi0 = W[:, 0, 0] * c0 + W[:, 0, 1] * c1
+    phi1 = W[:, 1, 0] * c0 + W[:, 1, 1] * c1
+    psi0, psi1 = e00 * phi0 + e01 * phi1, e10 * phi0 + e11 * phi1
+    tr = sum(z.real**2 + z.imag**2 for z in (phi0, phi1, psi0, psi1))
+    cross = phi0 * psi1 - phi1 * psi0
+    det = (cross.real**2 + cross.imag**2) / tr**2
+    lam = 2 * det / (1 + np.sqrt(np.maximum(1 - 4 * det, 0.0)))
+    minor = np.where(lam > ENTROPY_CUTOFF, lam, 1.0)   # 1 log 1 = 0
+    s = -(minor * np.log(minor) + (1 - lam) * np.log1p(-lam)) / np.log(2)
+    return TimeSeries(times=ts, values=s, label=f"S(t) a={a:g}")
 
 
 def mutual_information_series(a: float, chi, times) -> TimeSeries:

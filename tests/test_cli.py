@@ -60,6 +60,15 @@ class TestDistinguishability:
         printed = capsys.readouterr().out
         assert "no-recurrence (" in printed and "grid step 5.49889 " in printed
 
+    def test_excursion_cut_by_the_window_still_fits(self, tmp_path, capsys):
+        # D(0) sits just above the mid level, a one-sample excursion at t = 0
+        code = main(["distinguishability", "--a", "0.87", "--initial", "H,L",
+                     "--out", str(tmp_path / "d.csv")])
+        assert code == 0
+        printed = capsys.readouterr().out
+        t_fit = float(printed.split("T_fit=")[1].split()[0])
+        assert t_fit == pytest.approx(np.pi / np.sqrt(1 - 0.87**2), abs=1e-3)
+
     def test_sweep_fans_out(self, tmp_path):
         out = tmp_path / "d_{a}.csv"
         code = main([
@@ -378,6 +387,15 @@ class TestCsvFormat:
             out = Path(tmp) / "t.csv"
             write_csv(out, meta, header, iter(rows))
             assert out.read_bytes() == want.encode()
+
+    def test_series_table_matches_per_value_text(self, tmp_path):
+        # the shape of a D(t) table: 512 rows of two doubles, one % call
+        t = np.linspace(0.0, 30.0, 512)
+        d = np.exp(-t / 7) * np.cos(t) ** 2
+        write_csv(tmp_path / "d.csv", {"seed": 0}, ["t", "D"], zip(t, d))
+        want = "# seed = 0\nt,D\n" + "".join(
+            f"{per_value_text(x)},{per_value_text(y)}\n" for x, y in zip(t, d))
+        assert (tmp_path / "d.csv").read_bytes() == want.encode()
 
 
 def violations_of(capsys):
