@@ -165,90 +165,6 @@ class TestBatchedSeries:
 
 
 
-def bloch_state(r) -> np.ndarray:
-    x, y, z = r
-    return (np.eye(2) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2
-
-
-# pure states as kets, and mixed ones (sometimes pure) as Bloch vectors
-_states = st.one_of(
-    _ket.map(pure_state),
-    st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
-        lambda v: np.linalg.norm(v) > 0.1), st.sampled_from([1.0, 0.999, 0.5, 0.0])).map(
-        lambda p: bloch_state(p[1] * np.array(p[0]) / np.linalg.norm(p[0]))))
-
-
-def matrix_route_series(spec, rho1, rho2, times):
-    """D(t) the matrix way: W rho W^dag over the propagator stack by matmul,
-    trace-normalized, and half the absolute eigenvalues of the difference."""
-    W, _ = propagator(build_hamiltonian(spec), times)
-    Wd = W.conj().transpose(0, 2, 1)
-    m1, m2 = (W @ r @ Wd for r in (rho1, rho2))
-    diff = (m1 / np.trace(m1, axis1=1, axis2=2).real[:, None, None]
-            - m2 / np.trace(m2, axis1=1, axis2=2).real[:, None, None])
-    return np.clip(np.abs(np.linalg.eigvalsh((diff + diff.conj().transpose(0, 2, 1)) / 2))
-                   .sum(axis=1) / 2, 0.0, 1.0)
-
-
-def matrix_route_log_survival(spec, rho, times):
-    W, g = propagator(build_hamiltonian(spec), times)
-    m = W @ rho @ W.conj().transpose(0, 2, 1)
-    with np.errstate(divide="ignore"):
-        return np.log(np.trace(m, axis1=1, axis2=2).real) + 2 * g
-
-
-class TestKetRoute:
-    """The series evolves a ket factor of each state and takes the 2x2 trace
-    distance in closed form; the matrix route judges it."""
-
-    @given(_families, st.floats(0.0, 2.5), st.floats(-1.0, 1.0), _states, _states,
-           st.floats(0.5, 20.0))
-    def test_matches_the_matrix_route(self, family, a, c, rho1, rho2, t_max):
-        spec = HamiltonianSpec(family, a, c)
-        grid = np.linspace(0.0, t_max, 32)
-        got = distinguishability_series(spec, rho1, rho2, grid).values
-        want = matrix_route_series(spec, rho1, rho2, grid)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("family", [Family.PT, Family.TIME_REVERSAL])
-    def test_every_pair_at_the_exceptional_point_against_mpmath(self, family):
-        times = default_time_grid(HamiltonianSpec(family, 1.0))   # geomspace(0.1, 200, 512)
-        H = build_hamiltonian(HamiltonianSpec(family, 1.0))
-        with mpmath.workdps(40):
-            Us = [mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(H.tolist())) for t in times]
-            kets = {label: mpmath.matrix(polarization_ket(label).tolist()) for label in _LABELS}
-            for p, q in itertools.combinations(_LABELS, 2):
-                got = distinguishability_series(
-                    HamiltonianSpec(family, 1.0), pure_state(polarization_ket(p)),
-                    pure_state(polarization_ket(q)), times).values
-                want = []
-                for U in Us:
-                    p1, p2 = U * kets[p], U * kets[q]
-                    overlap = abs((p1.H * p2)[0]) ** 2 / ((p1.H * p1)[0] * (p2.H * p2)[0]).real
-                    want.append(float(mpmath.sqrt(1 - overlap)))
-                # W = 1 - i t K holds 1 + t and 1 - t rounded, so a state that K
-                # annihilates (L for pt) moves by up to a quarter ulp of t
-                tol = 1e-15 + np.finfo(float).eps * times / 2
-                assert np.all(np.abs(got - want) <= tol), (p, q)
-
-    @pytest.mark.parametrize("rho", [RHO_H, bloch_state([0.3, -0.4, 0.5])])
-    def test_annihilated_where_the_matrix_route_says(self, rho):
-        # passive loss: the survival probability falls about e^{-t}
-        spec = HamiltonianSpec(Family.PASSIVE_PT, 0.5)
-        times = np.linspace(0.0, 1000.0, 401)
-        log_p = matrix_route_log_survival(spec, rho, times)
-        k = np.argmax(log_p < np.log(TRACE_FLOOR))
-        assert k > 0 and np.all(log_p[:k] >= np.log(TRACE_FLOOR))
-        message = f"log survival probability {log_p[k]:.6g} is below .* at t = {times[k]}$"
-        with pytest.raises(StateAnnihilated, match=message):
-            distinguishability_series(spec, rho, rho, times)
-
-    def test_amplified_mixed_state_is_not_annihilated(self):
-        mixed = bloch_state([0.3, -0.4, 0.5])
-        series = distinguishability_series(pt(2.0), mixed, RHO_V, np.linspace(0.0, 2000.0, 512))
-        assert np.all(np.isfinite(series.values))
-
-
 class TestRecurrenceFit:
     def test_half(self):
         series = hv_series(pt(0.5), 15.0, 512)
@@ -406,13 +322,19 @@ class TestRecurrenceFitWindowEdges:
         assert abs(fit_recurrence_time(series).parameter - recurrence_period(a)) <= 1e-3
 
 
+def mpmath_pure_distance(U, k1, k2):
+    """Trace distance of two pure states after the mpmath matrix U, at the
+    working precision."""
+    p1, p2 = (U * mpmath.matrix(k.tolist()) for k in (k1, k2))
+    overlap = abs((p1.H * p2)[0]) ** 2 / ((p1.H * p1)[0] * (p2.H * p2)[0]).real
+    return float(mpmath.sqrt(1 - overlap))
+
+
 def mpmath_distinguishability(H, k1, k2, t, dps=40):
     """D(t) of two pure states evolved by mpmath's expm at ``dps`` digits."""
     with mpmath.workdps(dps):
-        U = mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(H.tolist()))
-        p1, p2 = (U * mpmath.matrix(k.tolist()) for k in (k1, k2))
-        overlap = abs((p1.H * p2)[0]) ** 2 / ((p1.H * p1)[0] * (p2.H * p2)[0]).real
-        return float(mpmath.sqrt(1 - overlap))
+        return mpmath_pure_distance(mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(H.tolist())),
+                                    k1, k2)
 
 
 class TestSeriesNearExceptionalPoint:
@@ -431,6 +353,85 @@ class TestSeriesNearExceptionalPoint:
         eps = np.finfo(float).eps
         tol = 16 * eps * times if a < 1 else 8 * eps
         assert np.all(np.abs(got - want) <= tol)
+
+
+def bloch_state(r) -> np.ndarray:
+    x, y, z = r
+    return (np.eye(2) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2
+
+
+# pure states as kets, and mixed ones (sometimes pure) as Bloch vectors
+_states = st.one_of(
+    _ket.map(pure_state),
+    st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+        lambda v: np.linalg.norm(v) > 0.1), st.sampled_from([1.0, 0.999, 0.5, 0.0])).map(
+        lambda p: bloch_state(p[1] * np.array(p[0]) / np.linalg.norm(p[0]))))
+
+
+def matrix_route_series(spec, rho1, rho2, times):
+    """D(t) the matrix way: W rho W^dag over the propagator stack by matmul,
+    trace-normalized, and half the absolute eigenvalues of the difference."""
+    W, _ = propagator(build_hamiltonian(spec), times)
+    Wd = W.conj().transpose(0, 2, 1)
+    m1, m2 = (W @ r @ Wd for r in (rho1, rho2))
+    diff = (m1 / np.trace(m1, axis1=1, axis2=2).real[:, None, None]
+            - m2 / np.trace(m2, axis1=1, axis2=2).real[:, None, None])
+    return np.clip(np.abs(np.linalg.eigvalsh((diff + diff.conj().transpose(0, 2, 1)) / 2))
+                   .sum(axis=1) / 2, 0.0, 1.0)
+
+
+def matrix_route_log_survival(spec, rho, times):
+    W, g = propagator(build_hamiltonian(spec), times)
+    m = W @ rho @ W.conj().transpose(0, 2, 1)
+    with np.errstate(divide="ignore"):
+        return np.log(np.trace(m, axis1=1, axis2=2).real) + 2 * g
+
+
+class TestKetRoute:
+    """The series evolves a ket factor of each state and takes the 2x2 trace
+    distance in closed form; the matrix route judges it."""
+
+    @given(_families, st.floats(0.0, 2.5), st.floats(-1.0, 1.0), _states, _states,
+           st.floats(0.5, 20.0))
+    def test_matches_the_matrix_route(self, family, a, c, rho1, rho2, t_max):
+        spec = HamiltonianSpec(family, a, c)
+        grid = np.linspace(0.0, t_max, 32)
+        got = distinguishability_series(spec, rho1, rho2, grid).values
+        want = matrix_route_series(spec, rho1, rho2, grid)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("family", [Family.PT, Family.TIME_REVERSAL])
+    def test_every_pair_at_the_exceptional_point_against_mpmath(self, family):
+        times = default_time_grid(HamiltonianSpec(family, 1.0))   # geomspace(0.1, 200, 512)
+        H = build_hamiltonian(HamiltonianSpec(family, 1.0))
+        # W = 1 - i t K holds 1 + t and 1 - t rounded, so a state that K
+        # annihilates (L for pt) moves by up to a quarter ulp of t
+        tol = 1e-15 + np.finfo(float).eps * times / 2
+        with mpmath.workdps(40):
+            Us = [mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(H.tolist())) for t in times]
+            for pair in itertools.combinations(_LABELS, 2):
+                k1, k2 = (polarization_ket(label) for label in pair)
+                got = distinguishability_series(HamiltonianSpec(family, 1.0), pure_state(k1),
+                                                pure_state(k2), times).values
+                want = [mpmath_pure_distance(U, k1, k2) for U in Us]
+                assert np.all(np.abs(got - want) <= tol), pair
+
+    @pytest.mark.parametrize("rho", [RHO_H, bloch_state([0.3, -0.4, 0.5])])
+    def test_annihilated_where_the_matrix_route_says(self, rho):
+        # passive loss: the survival probability falls about e^{-t}
+        spec = HamiltonianSpec(Family.PASSIVE_PT, 0.5)
+        times = np.linspace(0.0, 1000.0, 401)
+        log_p = matrix_route_log_survival(spec, rho, times)
+        k = np.argmax(log_p < np.log(TRACE_FLOOR))
+        assert k > 0 and np.all(log_p[:k] >= np.log(TRACE_FLOOR))
+        message = f"log survival probability {log_p[k]:.6g} is below .* at t = {times[k]}$"
+        with pytest.raises(StateAnnihilated, match=message):
+            distinguishability_series(spec, rho, rho, times)
+
+    def test_amplified_mixed_state_is_not_annihilated(self):
+        mixed = bloch_state([0.3, -0.4, 0.5])
+        series = distinguishability_series(pt(2.0), mixed, RHO_V, np.linspace(0.0, 2000.0, 512))
+        assert np.all(np.isfinite(series.values))
 
 
 class TestRelaxationFit:
