@@ -12,7 +12,8 @@ displacers.  Several variants constrain subsets of the twelve mount angles:
 * ``pt-simplified`` three free angles (theta2, theta_H, theta_V); every
                     realized matrix has the form [[A, iB], [iB, D]] with
                     A, B, D real
-* ``two-qubit``     the layered four-mode circuit U5,6 . G2 . U3,4 . G1 . U1,2
+* ``two-qubit``     the layered four-mode circuit U5,6 . G2 . U3,4 . G1 . U1,2,
+                    with G2's delta75 and delta86 held at pi/4
 
 Each variant is one chain: an ordered product of the Jones elements below,
 whose arguments are free angles or fixed affine functions of them.  Every
@@ -26,6 +27,11 @@ difference to a target (8 residuals for 2x2, 32 for 4x4) by Levenberg-
 Marquardt steps on that Jacobian (Marquardt, SIAM J. Appl. Math. 11, 431
 (1963); damping update of Nielsen, IMM-REP-1999-05), from uniform-random
 restarts.
+
+The two-qubit chain holds G2's delta75 and delta86 at pi/4.  G2 is unitary
+only where |sin 2delta75| = |sin 2delta86| = 1, a stationary point of the
+sine, where free angles make the Jacobian lose rank at every solution and
+the fit converge only linearly.
 """
 
 import functools
@@ -63,9 +69,11 @@ _FREE_ANGLES = {
         [f"phi{j}" for j in range(1, 7)]
         + [f"theta{j}" for j in range(1, 7)]
         + [f"nu{j}" for j in range(1, 7)]
-        + ["delta41", "delta75", "delta85", "delta86"]
+        + ["delta41", "delta85"]
     ),
 }
+# mount angles a chain holds fixed, listed in its records after the free ones
+_HELD_ANGLES = {DecompositionVariant.TWO_QUBIT: {"delta75": np.pi / 4, "delta86": np.pi / 4}}
 
 
 def free_angle_names(variant: DecompositionVariant) -> tuple:
@@ -143,7 +151,9 @@ def build_g1(delta41) -> np.ndarray:
 
 def build_g2(delta75, delta85, delta86) -> np.ndarray:
     """Second beam-displacer block; unitary only when |sin 2delta75| =
-    |sin 2delta86| = 1, which the synthesis is free to select."""
+    |sin 2delta86| = 1.  The two-qubit synthesis holds both at pi/4: at a
+    free solution the sines sit at their stationary point, where the fit's
+    Jacobian loses rank and its convergence turns linear."""
     s75 = np.sin(2 * delta75)
     s85, c85 = np.sin(2 * delta85), np.cos(2 * delta85)
     s86 = np.sin(2 * delta86)
@@ -192,7 +202,7 @@ _CHAIN_SPECS = {
         (hwp, ("theta2", 1.0, np.pi / 4)), (qwp, 0.0),
     ),
     DecompositionVariant.TWO_QUBIT: (
-        _layer(3) + ((build_g2, "delta75", "delta85", "delta86"),)
+        _layer(3) + ((build_g2, np.pi / 4, "delta85", np.pi / 4),)
         + _layer(2) + ((build_g1, "delta41"),) + _layer(1)
     ),
 }
@@ -373,7 +383,8 @@ def _compile(target, variant, restarts, seed, success_residual):
     phase, residual = _aligned_residual(_realize(variant, best_x), target)
     return AngleSolution(
         variant=variant,
-        angles={name: _wrap_angle(v) for name, v in zip(names, best_x)},
+        angles={**{name: _wrap_angle(v) for name, v in zip(names, best_x)},
+                **_HELD_ANGLES.get(variant, {})},
         residual=residual,
         global_phase=float(np.angle(phase)),
         success=residual < success_residual,
@@ -391,8 +402,12 @@ def realize_single(variant, angles: dict) -> np.ndarray:
 
 
 def realize_two_qubit(angles: dict) -> np.ndarray:
-    """Layered two-qubit circuit from named angles."""
+    """Layered two-qubit circuit from named angles; delta75 and delta86 only at pi/4."""
     variant = DecompositionVariant.TWO_QUBIT
+    for name, held in _HELD_ANGLES[variant].items():
+        if angles.get(name, held) != held:
+            raise ValueError(
+                f"{name} = {angles[name]!r}, but the two-qubit circuit holds it at pi/4")
     return _realize(variant, np.array([angles[n] for n in _FREE_ANGLES[variant]], dtype=float))
 
 
@@ -426,7 +441,9 @@ def compile_two_qubit(
     seed: int | None = None,
     success_residual: float = SUCCESS_RESIDUAL,
 ) -> AngleSolution:
-    """Find angles for the layered two-qubit circuit realizing a unitary."""
+    """Find angles for the layered two-qubit circuit realizing a unitary.
+    The fit varies 20 angles; the solution lists all 22 mount settings, G2's
+    delta75 and delta86 held at pi/4 (where G2 is unitary) included."""
     target = _checked_target(target, 4)
     defect = np.abs(target.conj().T @ target - np.eye(4)).max()
     if defect > 1e-9:

@@ -16,7 +16,8 @@ from ptsim.cli import _run_seed, load_config, main, write_csv
 from ptsim.dynamics import distinguishability_series
 from ptsim.errors import ConfigError
 from ptsim.models import Family, HamiltonianSpec
-from ptsim.qcore import KET_H, KET_V, pure_state
+from ptsim.optics import realize_two_qubit
+from ptsim.qcore import KET_H, KET_V, mat_exp, pure_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -227,6 +228,15 @@ class TestCompile:
         )
         assert record["success"] == "true"
         assert float(record["residual"]) < 1e-6
+        # every mount angle, G2's two held at pi/4 included
+        angles = {k: float(v) for k, v in record.items() if k not in (
+            "variant", "residual", "global_phase", "success", "restarts_used", "evaluations")}
+        assert len(angles) == 22
+        assert record["delta75"] == record["delta86"] == "0.78539816339744828"
+        target = np.exp(1j * float(record["global_phase"])) * mat_exp(
+            embedding.build_h_tot(0.5), 0.5)
+        rebuilt = np.linalg.norm(realize_two_qubit(angles) - target)
+        assert abs(rebuilt - float(record["residual"])) <= 1e-9
 
     def test_default_record_path_is_text(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -26,7 +26,7 @@ from ptsim.optics import (
     realize_two_qubit,
     solution_record,
 )
-from ptsim.qcore import ID2, KET_H, SIGMA_X, SIGMA_Z, pure_state, trace_distance
+from ptsim.qcore import ID2, KET_H, SIGMA_X, SIGMA_Z, mat_exp, pure_state, trace_distance
 
 FULL = DecompositionVariant.FULL12
 SYM = DecompositionVariant.SYMMETRIC5
@@ -59,7 +59,8 @@ def written_out(variant, a):
     rot = [qwp(a[f"nu{j}"]) @ hwp(a[f"theta{j}"]) @ qwp(a[f"phi{j}"]) for j in range(1, 7)]
     zero = np.zeros((2, 2))
     layer = [np.block([[rot[2 * k], zero], [zero, rot[2 * k + 1]]]) for k in range(3)]
-    return (layer[2] @ build_g2(a["delta75"], a["delta85"], a["delta86"]) @ layer[1]
+    # the circuit holds delta75 and delta86 at pi/4, where G2 is unitary
+    return (layer[2] @ build_g2(np.pi / 4, a["delta85"], np.pi / 4) @ layer[1]
             @ build_g1(a["delta41"]) @ layer[0])
 
 
@@ -291,6 +292,40 @@ class TestCompileTwoQubit:
     def test_not_unitary(self):
         with pytest.raises(NotUnitary):
             compile_two_qubit(0.5 * np.eye(4))
+
+    @pytest.mark.parametrize("t, seed", [(0.3, 3), (0.7, 7), (1.5, 15)])
+    def test_criterion_8_targets_converge_fast(self, t, seed):
+        # with delta75 and delta86 free, G2's sines sat at their stationary
+        # point at every solution, the Jacobian lost rank, and these targets
+        # took 54-61 evaluations of linear convergence
+        from ptsim.embedding import build_h_tot
+
+        sol = compile_two_qubit(mat_exp(build_h_tot(0.5), t), restarts=60, seed=seed)
+        assert sol.success and sol.residual < 1e-6
+        assert sol.restarts_used == 1
+        assert sol.evaluations <= 30
+
+    def test_held_g2_angles_reach_every_target(self):
+        rng = np.random.default_rng(41)
+        targets = [np.eye(4, dtype=complex), np.diag([1, 1, 1, -1]).astype(complex)]
+        for _ in range(20):
+            # Haar-random: QR of a complex Gaussian with R's diagonal phases removed
+            q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            targets.append(q * (np.diag(r) / np.abs(np.diag(r))))
+        for i, target in enumerate(targets):
+            sol = compile_two_qubit(target, restarts=50, seed=200 + i)
+            assert sol.success and sol.residual < 1e-6, i
+            assert sol.angles["delta75"] == sol.angles["delta86"] == np.pi / 4
+            aligned = np.exp(1j * sol.global_phase) * target
+            for realized in (realize_two_qubit(sol.angles), written_out(TWO, sol.angles)):
+                assert abs(np.linalg.norm(realized - aligned) - sol.residual) <= 1e-12, i
+
+    @pytest.mark.parametrize("name", ["delta75", "delta86"])
+    def test_unrealizable_held_angle_rejected(self, name):
+        angles = {**angles_of(TWO, np.zeros(20)), "delta75": np.pi / 4, "delta86": np.pi / 4}
+        realize_two_qubit(angles)
+        with pytest.raises(ValueError, match=f"^{name} = 0.3, "):
+            realize_two_qubit({**angles, name: 0.3})
 
 
 class TestInputChecks:
