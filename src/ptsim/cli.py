@@ -25,11 +25,11 @@ import numpy as np
 
 from . import embedding, optics
 from .dynamics import (
-    default_time_grid, distinguishability_series, evolve, fit_power_law_exponent,
-    fit_recurrence_time, fit_relaxation_time,
+    MIN_RECURRENCE_POINTS, default_time_grid, distinguishability_series, evolve,
+    fit_power_law_exponent, fit_recurrence_time, fit_relaxation_time,
 )
 from .errors import CompileFailed, ConfigError, NoOscillation, PTSimError
-from .models import Family, HamiltonianSpec, build_hamiltonian
+from .models import Family, HamiltonianSpec, build_hamiltonian, classify_regime
 from .qcore import fidelity, mat_exp, polarization_ket, pure_state
 from .tomography import born_probabilities, mle_reconstruct, simulate_counts, standard_bases
 
@@ -143,12 +143,14 @@ def _target_file(raw: str) -> np.ndarray:
 
 
 _positive_int = _admit(int, lambda n: n > 0, "cannot parse {raw!r}")
+_finite_nonnegative = _admit(float, lambda x: 0 <= x < np.inf,
+                             "must be finite and >= 0, got {value}")
 _VARIANTS = [v.value for v in optics.DecompositionVariant]
 
 _PARSERS = {
     "seed": int,
     "family": lambda raw: Family(raw.lower()),
-    "a": _admit(float, lambda a: a >= 0, "must be >= 0, got {value}"),
+    "a": _finite_nonnegative,
     "c": float,
     "initial": _admit(_kets, lambda kets: len(kets[1]) == 2, "cannot parse {raw!r}"),
     "state": _admit(_kets, lambda kets: len(kets[1]) == 1, "cannot parse {raw!r}"),
@@ -203,25 +205,28 @@ def _run_distinguishability(v, seed, out):
         summary += f" T_fit={fit_recurrence_time(series).parameter:.6g}"
     except (NoOscillation, ValueError) as exc:
         return f"{summary} no-recurrence ({exc}) -> {out}"
-    if spec.family is not Family.NO_SYMMETRY and spec.a < 1:
-        summary += f" T_theory={np.pi / np.sqrt(1 - spec.a**2):.6g}"
+    regime = classify_regime(spec.a)
+    if spec.family is not Family.NO_SYMMETRY and regime.kind == "unbroken":
+        summary += f" T_theory={regime.timescale:.6g}"
     return f"{summary} -> {out}"
 
 
-# each scaling regime: its default a values and the a it admits
-_SCALING = {
-    "unbroken": ((0.2, 0.5, 0.8, 0.9), lambda a: 0 <= a < 1, "[0, 1)"),
-    "broken": ((1.1, 1.25, 1.5, 2.0), lambda a: a > 1, "(1, inf)"),
-}
+# each scaling regime's default a values
+_SCALING = {"unbroken": (0.2, 0.5, 0.8, 0.9), "broken": (1.1, 1.25, 1.5, 2.0)}
 
 
 def _check_scaling(v) -> list:
-    if v["regime"] is None:
+    regime, points = v["regime"], v["points"]
+    if regime is None:
         return []
-    defaults, admitted, interval = _SCALING[v["regime"]]
-    v["a"] = v["a"] or defaults
-    return [f"a: {a} is not in the {v['regime']} regime {interval}"
-            for a in v["a"] if not admitted(a)]
+    v["a"] = v["a"] or _SCALING[regime]
+    kinds = {a: classify_regime(a).kind for a in v["a"]}
+    violations = [f"a: {a} is in the {kind} regime, not the {regime} one"
+                  for a, kind in kinds.items() if kind != regime]
+    if regime == "unbroken" and points is not None and points < MIN_RECURRENCE_POINTS:
+        violations.append(f"points: the recurrence fit needs >= {MIN_RECURRENCE_POINTS}, "
+                          f"got {points}")
+    return violations
 
 
 def _run_scaling(v, seed, out):
@@ -230,12 +235,11 @@ def _run_scaling(v, seed, out):
     rows = []
     for a in v["a"]:
         spec = HamiltonianSpec(Family.PT, a)
+        theory = classify_regime(a).timescale
         if regime == "unbroken":
-            theory = np.pi / np.sqrt(1 - a * a)
             grid = default_time_grid(spec, points)
             fit = fit_recurrence_time(distinguishability_series(spec, rho1, rho2, grid))
         else:
-            theory = 1.0 / (2 * np.sqrt(a * a - 1))
             grid = np.linspace(0.0, 13 * theory, points)
             series = distinguishability_series(spec, rho1, rho2, grid)
             fit = fit_relaxation_time(series, (4 * theory, 12 * theory))
@@ -263,7 +267,7 @@ def _run_powerlaw(v, seed, out):
 def _run_embed(v, seed, out):
     a, ((k1, k2), labels), t_max = v["a"], v["initial"], v["t-max"]
     if t_max is None:
-        t_max = 2 * np.pi / np.sqrt(1 - a * a)   # two recurrence periods
+        t_max = 2 * classify_regime(a).timescale   # two recurrence periods
     grid = np.linspace(0.0, t_max, v["points"])
     d = distinguishability_series(HamiltonianSpec(Family.PT, a), pure_state(k1),
                                   pure_state(k2), grid)
@@ -287,6 +291,19 @@ def _run_tomography(v, seed, out):
     write_csv(out, meta, ["basis_label", "counts", "shots", "seed"], rows)
     fid = fidelity(mle_reconstruct(records, bases), rho)
     return f"a={spec.a!r} t={t!r} state={state} mle_fidelity={fid:.6f} -> {out}"
+
+
+def _check_compile(v) -> list:
+    """The variant fixes the target's dimension; the embedded family's is 4."""
+    target, family, variant = v["target-file"], v["family"], v["variant"]
+    if variant is None or (target is None and None in (family, v["a"])):
+        return []
+    shape = target.shape if target is not None else (4, 4) if family is Family.EMBEDDED else (2, 2)
+    dim = 4 if variant == optics.DecompositionVariant.TWO_QUBIT else 2
+    if shape == (dim, dim):
+        return []
+    source = "the target file" if target is not None else f"family {family.value}"
+    return [f"variant: {variant} needs a {dim}x{dim} target; {source} gives shape {shape}"]
 
 
 def _run_compile(v, seed, out):
@@ -332,7 +349,8 @@ EXPERIMENTS = {
     "scaling": Experiment(
         "recurrence or relaxation time versus a", _run_scaling,
         {"regime": "unbroken", "a": None, "initial": "H,V", "points": "512"},
-        parsers={"a": _floats}, check=_check_scaling),
+        parsers={"a": lambda raw: tuple(map(_finite_nonnegative, raw.split(",")))},
+        check=_check_scaling),
     "powerlaw": Experiment(
         "exceptional-point log-log series and exponent", _run_powerlaw,
         {"family": "pt", "a": None, "c": "0", "initial": "H,V", "t-min": "0.1",
@@ -341,8 +359,9 @@ EXPERIMENTS = {
     "embed": Experiment(
         "two-qubit dilation: D, entanglement entropy, mutual information", _run_embed,
         {"a": "0.5", "initial": "H,V", "t-max": None, "points": "256"},
-        sweeps=True, parsers={"a": _admit(float, lambda a: 0 <= a < 1,
-                                          "embedding needs 0 <= a < 1, got {value}")}),
+        sweeps=True, parsers={"a": _admit(_finite_nonnegative,
+                                          lambda a: classify_regime(a).kind == "unbroken",
+                                          "embedding needs the unbroken regime, got {value}")}),
     "tomography": Experiment(
         "simulated photon counts and MLE reconstruction", _run_tomography,
         {"family": "pt", "a": None, "c": "0", "state": "H", "t": "1.0", "shots": "18000"},
@@ -351,7 +370,7 @@ EXPERIMENTS = {
         "wave-plate angle synthesis for a target operator", _run_compile,
         {"variant": None, "target-file": None, "family": "passive-pt", "a": None,
          "c": "0", "t": "1.0", "restarts": "50"},
-        required=("variant", "target-file|a"), suffix=".txt"),
+        required=("variant", "target-file|a"), check=_check_compile, suffix=".txt"),
 }
 
 

@@ -14,6 +14,7 @@ from .qcore import as_density_matrix, propagator
 TRACE_FLOOR = 1e-300
 _LOG_TRACE_FLOOR = np.log(TRACE_FLOOR)
 DEFAULT_POINTS = 512
+MIN_RECURRENCE_POINTS = 64   # fewest samples fit_recurrence_time accepts
 
 
 @dataclass
@@ -22,7 +23,6 @@ class TimeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -113,10 +113,7 @@ def distinguishability_series(spec: HamiltonianSpec, rho1, rho2, times) -> TimeS
     z = ((a00 - b00) - (a11 - b11)) / 2
     d01 = a01 - b01
     vals = np.minimum(np.sqrt(z * z + d01.real**2 + d01.imag**2), 1.0)
-    label = f"D(t) {spec.family.value} a={spec.a:g}"
-    if spec.family.value == "nosym":
-        label += f" c={spec.c:g}"
-    return TimeSeries(times=ts, values=vals, label=label)
+    return TimeSeries(times=ts, values=vals)
 
 
 def default_time_grid(spec: HamiltonianSpec, points: int = DEFAULT_POINTS) -> np.ndarray:
@@ -129,13 +126,10 @@ def default_time_grid(spec: HamiltonianSpec, points: int = DEFAULT_POINTS) -> np
     if spec.family.value == "nosym":
         return np.linspace(0.0, 10.0, points)
     regime = classify_regime(spec.a)
-    if regime.kind == "unbroken":
-        period = np.pi / np.sqrt(1.0 - spec.a**2)
-        return np.linspace(0.0, 4 * period, points)
-    if regime.kind == "broken":
-        tau = 1.0 / (2.0 * np.sqrt(spec.a**2 - 1.0))
-        return np.linspace(0.0, 8 * tau, points)
-    return np.geomspace(0.1, 200.0, points)
+    if regime.kind == "exceptional-point":
+        return np.geomspace(0.1, 200.0, points)
+    count = 4 if regime.kind == "unbroken" else 8   # periods T or relaxation times tau
+    return np.linspace(0.0, count * regime.timescale, points)
 
 
 def fit_recurrence_time(series: TimeSeries) -> FitResult:
@@ -167,8 +161,8 @@ def fit_recurrence_time(series: TimeSeries) -> FitResult:
     the window (a grid that steps over every interior peak).
     """
     t, y = series.times, series.values
-    if len(t) < 64:
-        raise ValueError(f"need at least 64 samples, got {len(t)}")
+    if len(t) < MIN_RECURRENCE_POINTS:
+        raise ValueError(f"need at least {MIN_RECURRENCE_POINTS} samples, got {len(t)}")
     dt = np.diff(t)
     if not np.allclose(dt, dt[0], rtol=1e-8, atol=0):
         raise ValueError("recurrence fit needs a uniform time grid")
@@ -212,7 +206,7 @@ def _window_slice(series: TimeSeries, window, log_time: bool):
     t_min, t_max = window
     mask = (series.times >= t_min) & (series.times <= t_max)
     if mask.sum() < 3:
-        raise InvalidWindow(f"window {window} selects {int(mask.sum())} points; need >= 3")
+        raise InvalidWindow(f"window ({t_min:g}, {t_max:g}) holds {mask.sum()} points; need >= 3")
     t = series.times[mask]
     y = series.values[mask]
     if np.any(y <= 0):

@@ -99,7 +99,7 @@ def entanglement_entropy_series(a: float, chi, times) -> TimeSeries:
     lam = 2 * det / (1 + np.sqrt(np.maximum(1 - 4 * det, 0.0)))
     minor = np.where(lam > ENTROPY_CUTOFF, lam, 1.0)   # 1 log 1 = 0
     s = -(minor * np.log(minor) + (1 - lam) * np.log1p(-lam)) / np.log(2)
-    return TimeSeries(times=ts, values=s, label=f"S(t) a={a:g}")
+    return TimeSeries(times=ts, values=s)
 
 
 def mutual_information_series(a: float, chi, times) -> TimeSeries:
@@ -109,4 +109,4 @@ def mutual_information_series(a: float, chi, times) -> TimeSeries:
     the mutual information is twice the entanglement entropy.
     """
     s = entanglement_entropy_series(a, chi, times)
-    return TimeSeries(times=s.times, values=2 * s.values, label=f"I(t) a={a:g}")
+    return TimeSeries(times=s.times, values=2 * s.values)

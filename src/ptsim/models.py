@@ -44,6 +44,7 @@ class HamiltonianSpec:
 class Regime:
     kind: str            # "unbroken" | "exceptional-point" | "broken"
     epsilon: float       # 1 - a
+    timescale: float     # recurrence time T, relaxation time tau, inf at the EP
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
@@ -69,40 +70,34 @@ def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
 
 
 def metric_eta(a: float) -> np.ndarray:
-    """Metric operator of the gain-loss family, positive definite for a < 1."""
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a!r}")
-    if a >= 1:
-        raise MetricUndefined(f"metric is singular at and beyond a = 1 (got a = {a})")
+    """Metric operator of the gain-loss family, positive definite when unbroken."""
+    if classify_regime(a).kind != "unbroken":
+        raise MetricUndefined(f"metric is singular at and beyond the exceptional point (a = {a})")
     return (1.0 / np.sqrt(1.0 - a * a)) * np.array([[1, -1j * a], [1j * a, 1]])
 
 
 def normalization_c(a: float) -> float:
-    """Sum of reciprocal metric eigenvalues, the dilation normalization.
-
-    Computed from the numeric eigenvalues so the same code path covers any
-    future metric; diverges as a -> 1.
-    """
-    lam = np.linalg.eigvalsh(metric_eta(a))
-    return float(np.sum(1.0 / lam))
+    """Dilation normalization: the metric's eigenvalues are (1 +- a)/sqrt(1 - a^2),
+    so their reciprocals sum to 2/sqrt(1 - a^2), which diverges as a -> 1."""
+    metric_eta(a)   # validates a
+    return float(2.0 / np.sqrt(1.0 - a * a))
 
 
 def classify_regime(a: float) -> Regime:
-    """Unbroken below the exceptional point at a = 1, broken above.
+    """Regime at a and its timescale; the one owner of the EP boundary.
 
-    The classifier is deterministic with a hard 1e-12 tolerance on a;
-    callers probing near-critical scaling pass a != 1 explicitly.
+    Unbroken for 1 - a > EP_TOL, where D(t) recurs with T = pi/sqrt(1 - a^2);
+    broken for a - 1 > EP_TOL, where it relaxes with tau = 1/(2 sqrt(a^2 - 1));
+    the exceptional point for |1 - a| <= EP_TOL = 1e-12, timescale inf.
     """
     if not np.isfinite(a) or a < 0:
         raise ValueError(f"a must be finite and >= 0, got {a!r}")
     eps = 1.0 - a
     if eps > EP_TOL:
-        kind = "unbroken"
-    elif eps < -EP_TOL:
-        kind = "broken"
-    else:
-        kind = "exceptional-point"
-    return Regime(kind=kind, epsilon=eps)
+        return Regime("unbroken", eps, float(np.pi / np.sqrt(1 - a * a)))
+    if eps < -EP_TOL:
+        return Regime("broken", eps, float(1.0 / (2 * np.sqrt(a * a - 1))))
+    return Regime("exceptional-point", eps, np.inf)
 
 
 def check_pseudo_hermiticity(H, eta) -> float:

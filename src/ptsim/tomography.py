@@ -160,14 +160,31 @@ def _linear_inversion(freqs, bases) -> np.ndarray:
     return rho
 
 
+def _check_count(values, bases, what: str):
+    if len(values) != len(bases):
+        raise DimMismatch(f"{len(values)} {what} for {len(bases)} bases")
+
+
+def _frequencies_and_shots(records, bases) -> tuple:
+    """Frequencies and shots of records paired with the bases by position;
+    DimMismatch names the count or the first label that does not match."""
+    _check_count(records, bases, "count records")
+    for i, (r, b) in enumerate(zip(records, bases)):
+        if r.basis_label != b.label:
+            raise DimMismatch(f"record {i} counts basis {r.basis_label!r}, "
+                              f"but basis {i} is {b.label!r}")
+    return [r.frequency for r in records], [r.shots for r in records]
+
+
 def linear_inversion(records, bases) -> np.ndarray:
     """Least-squares state estimate from counts; Hermitian and unit trace by
     construction but possibly non-positive under noise (flagged via warning)."""
-    return _linear_inversion([r.frequency for r in records], bases)
+    return _linear_inversion(_frequencies_and_shots(records, bases)[0], bases)
 
 
 def linear_inversion_from_probabilities(probs, bases) -> np.ndarray:
     """Linear inversion with exact probabilities in place of frequencies."""
+    _check_count(probs, bases, "probabilities")
     return _linear_inversion(probs, bases)
 
 
@@ -325,17 +342,14 @@ def mle_reconstruct(records, bases, max_iter: int = MLE_MAX_ITER,
     L* - L <= gap.  Raises MleFailed, naming the gap, when ``max_iter``
     steps end without that certificate; an uncertified estimate is never
     returned.  With ``full_output`` also returns {"loglike": history,
-    "iterations": steps, "gap": final gap}.
+    "iterations": steps, "gap": final gap}.  Records pair with bases by position.
     """
-    return _mle(
-        [r.frequency for r in records],
-        [r.shots for r in records],
-        bases, max_iter, tol, full_output,
-    )
+    return _mle(*_frequencies_and_shots(records, bases), bases, max_iter, tol, full_output)
 
 
 def mle_from_probabilities(probs, bases, max_iter: int = MLE_MAX_ITER,
                            tol: float = MLE_TOL, full_output: bool = False):
     """Maximum likelihood in the infinite-shot limit: exact probabilities
     stand in for observed frequencies, with equal weight per basis."""
+    _check_count(probs, bases, "probabilities")
     return _mle(probs, np.ones(len(bases)), bases, max_iter, tol, full_output)

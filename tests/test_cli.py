@@ -523,6 +523,45 @@ class TestPlanning:
             f"--{key}" for key in keys.split()]
 
 
+class TestFailureRecords:
+    """A failing run exits 1 or 2 with exactly one JSON record on stderr;
+    none ends in a traceback."""
+
+    @pytest.mark.parametrize("argv, code, says", [
+        # within 1e-12 of the exceptional point, a is in neither regime
+        (["scaling", "--regime", "unbroken", "--a", "0.9999999999999"], 2,
+         "a: 0.9999999999999 is in the exceptional-point regime, not the unbroken one"),
+        (["scaling", "--regime", "broken", "--a", "1.0000000000001"], 2,
+         "a: 1.0000000000001 is in the exceptional-point regime, not the broken one"),
+        (["embed", "--a", "0.9999999999999"], 2,
+         "a: embedding needs the unbroken regime, got 0.9999999999999"),
+        (["scaling", "--regime", "broken", "--a", "1.5,inf"], 2,
+         "a: must be finite and >= 0, got inf"),
+        (["scaling", "--points", "16"], 2, "points: the recurrence fit needs >= 64, got 16"),
+        # the variant fixes the target's dimension
+        (["compile", "--variant", "two-qubit", "--a", "0.5"], 2,
+         "variant: two-qubit needs a 4x4 target; family passive-pt gives shape (2, 2)"),
+        (["compile", "--variant", "full12", "--family", "embedded", "--a", "0.5"], 2,
+         "variant: full12 needs a 2x2 target; family embedded gives shape (4, 4)"),
+        (["compile", "--variant", "full12", "--target-file", "EYE3"], 2,
+         "variant: full12 needs a 2x2 target; the target file gives shape (3, 3)"),
+        # tau = 2/3: the fit window (4 tau, 12 tau) holds 2 of the 4 samples
+        (["scaling", "--regime", "broken", "--a", "1.25", "--points", "4"], 1,
+         "window (2.66667, 8) holds 2 points; need >= 3"),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+    def test_one_json_record(self, argv, code, says, tmp_path, capsys):
+        eye3 = tmp_path / "eye3.csv"
+        eye3.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        out = tmp_path / "out" / "x.csv"
+        argv = [str(eye3) if arg == "EYE3" else arg for arg in argv]
+        assert main([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert says in (record["violations"] if code == 2 else [record["message"]])
+        assert not out.parent.exists()
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # ptsim needs numpy alone, so importing the package and its runner costs
     # neither scipy's import time nor its memory

@@ -91,7 +91,7 @@ class TestMetric:
             assert np.linalg.eigvalsh(metric_eta(a)).min() > 0
 
     def test_undefined_at_and_beyond_ep(self):
-        for a in (1.0, 1.5):
+        for a in (1.0 - 1e-13, 1.0, 1.5):
             with pytest.raises(MetricUndefined):
                 metric_eta(a)
         with pytest.raises(ValueError):
@@ -129,6 +129,13 @@ class TestRegime:
     def test_broken(self):
         r = classify_regime(1.25)
         assert r.kind == "broken" and r.epsilon == pytest.approx(-0.25)
+
+    def test_timescale(self):
+        # T = pi/sqrt(1 - a^2) unbroken, tau = 1/(2 sqrt(a^2 - 1)) broken
+        assert classify_regime(0.5).timescale == pytest.approx(2 * np.pi / np.sqrt(3), rel=1e-15)
+        assert classify_regime(1.25).timescale == pytest.approx(2 / 3, rel=1e-15)
+        for a in (1.0, 1.0 - 1e-13, 1.0 + 1e-13):
+            assert classify_regime(a).timescale == np.inf
 
     def test_deterministic_boundaries(self):
         assert classify_regime(1.0 - 1e-9).kind == "unbroken"

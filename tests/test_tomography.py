@@ -152,6 +152,38 @@ class TestLinearInversion:
             linear_inversion_from_probabilities([1.0, 0.0], BASES2[:2])
 
 
+class TestPairing:
+    """Records and probabilities pair with the bases by position."""
+
+    @pytest.mark.parametrize("reconstruct", [mle_reconstruct, linear_inversion])
+    def test_reversed_records_rejected(self, reconstruct):
+        records = records_for(pure_state(KET_H), 1000, 1)[::-1]
+        with pytest.raises(DimMismatch, match="record 0 counts basis 'P-', but basis 0 is 'H'"):
+            reconstruct(records, BASES2)
+
+    @pytest.mark.parametrize("reconstruct", [mle_reconstruct, linear_inversion])
+    def test_first_mislabelled_record_named(self, reconstruct):
+        records = records_for(pure_state(KET_H), 1000, 1)
+        records[1], records[2] = records[2], records[1]
+        with pytest.raises(DimMismatch, match="record 1 counts basis 'P\\+', but basis 1 is 'V'"):
+            reconstruct(records, BASES2)
+
+    @pytest.mark.parametrize("reconstruct", [mle_reconstruct, linear_inversion])
+    def test_record_count_must_match(self, reconstruct):
+        records = records_for(pure_state(KET_H), 1000, 1)
+        with pytest.raises(DimMismatch, match="3 count records for 4 bases"):
+            reconstruct(records[:3], BASES2)
+
+    @pytest.mark.parametrize("reconstruct", [mle_from_probabilities,
+                                             linear_inversion_from_probabilities])
+    def test_probability_count_must_match(self, reconstruct):
+        probs = list(born_probabilities(pure_state(KET_H), BASES2))
+        with pytest.raises(DimMismatch, match="3 probabilities for 4 bases"):
+            reconstruct(probs[:3], BASES2)
+        with pytest.raises(DimMismatch, match="5 probabilities for 4 bases"):
+            reconstruct(probs + [0.5], BASES2)
+
+
 class TestMle:
     def test_noiseless_fixed_point(self):
         probs = born_probabilities(pure_state(KET_H), BASES2)
