@@ -145,6 +145,7 @@ def _target_file(raw: str) -> np.ndarray:
 _positive_int = _admit(int, lambda n: n > 0, "cannot parse {raw!r}")
 _finite_nonnegative = _admit(float, lambda x: 0 <= x < np.inf,
                              "must be finite and >= 0, got {value}")
+_finite_positive = _admit(float, lambda x: 0 < x < np.inf, "must be finite and > 0, got {value}")
 _VARIANTS = [v.value for v in optics.DecompositionVariant]
 
 _PARSERS = {
@@ -154,9 +155,9 @@ _PARSERS = {
     "c": float,
     "initial": _admit(_kets, lambda kets: len(kets[1]) == 2, "cannot parse {raw!r}"),
     "state": _admit(_kets, lambda kets: len(kets[1]) == 1, "cannot parse {raw!r}"),
-    "t": float,
-    "t-min": float,
-    "t-max": float,
+    "t": _finite_nonnegative,
+    "t-min": _finite_positive,
+    "t-max": _finite_positive,
     "points": _positive_int,
     "shots": _positive_int,
     "restarts": _positive_int,
@@ -193,20 +194,21 @@ def _check_qubit_family(v) -> list:
 
 
 def _run_distinguishability(v, seed, out):
-    spec, ((k1, k2), labels), points = v["spec"], v["initial"], v["points"]
-    grid = (default_time_grid(spec, points) if v["t-max"] is None
-            else np.linspace(0.0, v["t-max"], points))
-    series = distinguishability_series(spec, pure_state(k1), pure_state(k2), grid)
+    spec, ((k1, k2), labels) = v["spec"], v["initial"]
+    series = distinguishability_series(spec, pure_state(k1), pure_state(k2), v["grid"])
     meta = {"experiment": "distinguishability", **_spec_meta(spec),
             "initial": "|".join(labels), "seed": seed}
     write_csv(out, meta, ["t", "D"], zip(series.times, series.values))
     summary = f"family={spec.family.value} a={spec.a!r} initial={','.join(labels)}"
+    regime = classify_regime(spec.a)
+    kind = None if spec.family is Family.NO_SYMMETRY else regime.kind
+    if kind == "exceptional-point":
+        return f"{summary} no-recurrence (D(t) does not recur at the exceptional point) -> {out}"
     try:
         summary += f" T_fit={fit_recurrence_time(series).parameter:.6g}"
     except (NoOscillation, ValueError) as exc:
         return f"{summary} no-recurrence ({exc}) -> {out}"
-    regime = classify_regime(spec.a)
-    if spec.family is not Family.NO_SYMMETRY and regime.kind == "unbroken":
+    if kind == "unbroken":
         summary += f" T_theory={regime.timescale:.6g}"
     return f"{summary} -> {out}"
 
@@ -253,8 +255,7 @@ def _run_scaling(v, seed, out):
 
 def _run_powerlaw(v, seed, out):
     spec, ((k1, k2), labels), window = v["spec"], v["initial"], v["window"]
-    grid = np.geomspace(v["t-min"], v["t-max"], v["points"])
-    series = distinguishability_series(spec, pure_state(k1), pure_state(k2), grid)
+    series = distinguishability_series(spec, pure_state(k1), pure_state(k2), v["grid"])
     fit = fit_power_law_exponent(series, window)
     meta = {"experiment": "powerlaw", **_spec_meta(spec), "initial": "|".join(labels),
             "window": f"{window[0]:g}..{window[1]:g}", "exponent_fit": fit.parameter,
@@ -265,10 +266,7 @@ def _run_powerlaw(v, seed, out):
 
 
 def _run_embed(v, seed, out):
-    a, ((k1, k2), labels), t_max = v["a"], v["initial"], v["t-max"]
-    if t_max is None:
-        t_max = 2 * classify_regime(a).timescale   # two recurrence periods
-    grid = np.linspace(0.0, t_max, v["points"])
+    a, ((k1, k2), labels), grid = v["a"], v["initial"], v["grid"]
     d = distinguishability_series(HamiltonianSpec(Family.PT, a), pure_state(k1),
                                   pure_state(k2), grid)
     s = embedding.entanglement_entropy_series(a, k1, grid)
@@ -329,6 +327,7 @@ class Experiment:
     text (None: no default); a ``required`` entry ``x`` or ``x|y`` names keys
     of which one must be given; ``parsers`` replaces ``_PARSERS`` for keys read
     differently; ``check`` returns a run's violations and may fill values;
+    ``grid`` builds a series run's time grid from its valid values;
     ``suffix`` ends the default output path out/<name>_{i}<suffix>."""
 
     help: str
@@ -338,6 +337,7 @@ class Experiment:
     sweeps: bool = False
     parsers: dict = field(default_factory=dict)
     check: Callable = lambda values: []
+    grid: Callable | None = None
     suffix: str = ".csv"
 
 
@@ -345,7 +345,9 @@ EXPERIMENTS = {
     "distinguishability": Experiment(
         "trace-distance series D(t)", _run_distinguishability,
         {"family": "pt", "a": None, "c": "0", "initial": "H,V", "t-max": None, "points": "512"},
-        required=("a",), sweeps=True, check=_check_qubit_family),
+        required=("a",), sweeps=True, check=_check_qubit_family,
+        grid=lambda v: (default_time_grid(v["spec"], v["points"]) if v["t-max"] is None
+                        else np.linspace(0.0, v["t-max"], v["points"]))),
     "scaling": Experiment(
         "recurrence or relaxation time versus a", _run_scaling,
         {"regime": "unbroken", "a": None, "initial": "H,V", "points": "512"},
@@ -355,13 +357,16 @@ EXPERIMENTS = {
         "exceptional-point log-log series and exponent", _run_powerlaw,
         {"family": "pt", "a": None, "c": "0", "initial": "H,V", "t-min": "0.1",
          "t-max": "200", "points": "512", "window": "20,200"},
-        required=("a",), sweeps=True, check=_check_qubit_family),
+        required=("a",), sweeps=True, check=_check_qubit_family,
+        grid=lambda v: np.geomspace(v["t-min"], v["t-max"], v["points"])),
     "embed": Experiment(
         "two-qubit dilation: D, entanglement entropy, mutual information", _run_embed,
         {"a": "0.5", "initial": "H,V", "t-max": None, "points": "256"},
         sweeps=True, parsers={"a": _admit(_finite_nonnegative,
                                           lambda a: classify_regime(a).kind == "unbroken",
-                                          "embedding needs the unbroken regime, got {value}")}),
+                                          "embedding needs the unbroken regime, got {value}")},
+        grid=lambda v: np.linspace(0.0, v["t-max"] or 2 * classify_regime(v["a"]).timescale,
+                                   v["points"])),   # two recurrence periods by default
     "tomography": Experiment(
         "simulated photon counts and MLE reconstruction", _run_tomography,
         {"family": "pt", "a": None, "c": "0", "state": "H", "t": "1.0", "shots": "18000"},
@@ -434,6 +439,7 @@ def _plan(ns: argparse.Namespace) -> list:
     template = raw.get("out") or f"out/{name}_{{i}}{exp.suffix}"
     jobs = []
     for i in range(width):
+        before = len(violations)
         # a key given once holds for every run of the sweep
         run = {**raw, **{key: texts[i % len(texts)] for key, texts in sweep.items()}}
         values = {}
@@ -452,6 +458,11 @@ def _plan(ns: argparse.Namespace) -> list:
             except ValueError as exc:
                 violations.append(f"hamiltonian: {exc}")
         violations += exp.check(values)
+        if exp.grid and len(violations) == before:
+            values["grid"] = grid = exp.grid(values)
+            if not np.all(np.diff(grid) > 0):   # a series needs strictly increasing times
+                violations.append(f"times: {len(grid)} points from {grid[0]:g} to "
+                                  f"{grid[-1]:g} do not strictly increase")
         subs = {key: run.get(key, "") for key in _SWEEP_KEYS}
         subs["initial"] = subs["initial"].replace(",", "")
         try:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidWindow, NoOscillation, StateAnnihilated
 from .models import HamiltonianSpec, build_hamiltonian, classify_regime
-from .qcore import as_density_matrix, propagator
+from .qcore import ID2, as_density_matrix, evolve_ket, propagator
 
 TRACE_FLOOR = 1e-300
 _LOG_TRACE_FLOOR = np.log(TRACE_FLOOR)
@@ -56,41 +56,38 @@ def evolve(spec: HamiltonianSpec, rho0, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     rho0 = as_density_matrix(rho0)
-    W, g = propagator(build_hamiltonian(spec), [t])
-    (m00,), (m11,), (m01,) = _normalized_evolution(W, g, rho0, [t])
+    prop = propagator(build_hamiltonian(spec), [t])
+    (m00,), (m11,), (m01,) = _normalized_evolution(prop, rho0, [t])
     return np.array([[m00, m01], [m01.conjugate(), m11]])
 
 
-def _normalized_evolution(W, g, rho, times):
-    """Entries (m00, m11, m01) of W rho W^dag / Tr[W rho W^dag] over a
-    ``propagator`` stack, m00 and m11 real.
+def _normalized_evolution(prop, rho, times):
+    """Entries (m00, m11, m01) of U rho U^dag / Tr[U rho U^dag] over the grid
+    of ``prop = propagator(H, times)``, m00 and m11 real.
 
     rho is evolved as kets.  With k the index of its larger diagonal entry
-    and j the other, rho_kk rho = f f^dag + s e_j e_j^dag, where f is column k
-    of rho and s = det rho >= 0 (0 for a pure state).  So
-    rho_kk W rho W^dag = u u^dag + s v v^dag with u = W f and v = W e_j,
-    column j of W, and W is applied as products of its entries.  An
-    eigenvector factor would not do: its rounding leaks into the other
-    direction, which W amplifies by t near the exceptional point.  The
-    survival probability e^{2g} Tr[W rho W^dag] is tested as a logarithm,
-    which no amplified state overflows.
+    and j the other, rho_kk rho = f f^dag + d e_j e_j^dag, where f is column
+    k of rho and d = det rho >= 0 (0 for a pure state), so both terms go
+    through ``evolve_ket``.  An eigenvector factor would not do: its rounding
+    leaks into the other direction, which the evolution amplifies by t near
+    the exceptional point.  The survival probability is tested as a
+    logarithm, with the propagator's e^{g} added back, which no amplified
+    state overflows.
     """
     k = int(rho[1, 1].real > rho[0, 0].real)
-    f0, f1 = rho[0, k], rho[1, k]
-    u0 = W[:, 0, 0] * f0 + W[:, 0, 1] * f1
-    u1 = W[:, 1, 0] * f0 + W[:, 1, 1] * f1
+    u0, u1 = evolve_ket(prop, rho[:, k])
     m00 = u0.real**2 + u0.imag**2
     m11 = u1.real**2 + u1.imag**2
     m01 = u0 * u1.conj()
-    s = max((rho[0, 0] * rho[1, 1]).real - abs(rho[0, 1]) ** 2, 0.0)
-    if s > 0:
-        v0, v1 = W[:, 0, 1 - k], W[:, 1, 1 - k]
-        m00 = m00 + s * (v0.real**2 + v0.imag**2)
-        m11 = m11 + s * (v1.real**2 + v1.imag**2)
-        m01 = m01 + s * (v0 * v1.conj())
+    det = max((rho[0, 0] * rho[1, 1]).real - abs(rho[0, 1]) ** 2, 0.0)
+    if det > 0:
+        v0, v1 = evolve_ket(prop, ID2[1 - k])
+        m00 = m00 + det * (v0.real**2 + v0.imag**2)
+        m11 = m11 + det * (v1.real**2 + v1.imag**2)
+        m01 = m01 + det * (v0 * v1.conj())
     tr = m00 + m11
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(tr) + (2 * g - np.log(rho[k, k].real))
+        log_p = np.log(tr) + (2 * prop[3] - np.log(rho[k, k].real))
     if not log_p.min(initial=np.inf) >= _LOG_TRACE_FLOOR:   # NaN fails too
         i = np.argmax(~(log_p >= _LOG_TRACE_FLOOR))
         raise StateAnnihilated(f"log survival probability {log_p[i]:.6g} is below "
@@ -107,9 +104,9 @@ def distinguishability_series(spec: HamiltonianSpec, rho1, rho2, times) -> TimeS
     rho1 = as_density_matrix(rho1)
     rho2 = as_density_matrix(rho2)
     ts = np.asarray(times, dtype=float)
-    W, g = propagator(build_hamiltonian(spec), ts)
-    a00, a11, a01 = _normalized_evolution(W, g, rho1, ts)
-    b00, b11, b01 = _normalized_evolution(W, g, rho2, ts)
+    prop = propagator(build_hamiltonian(spec), ts)
+    a00, a11, a01 = _normalized_evolution(prop, rho1, ts)
+    b00, b11, b01 = _normalized_evolution(prop, rho2, ts)
     z = ((a00 - b00) - (a11 - b11)) / 2
     d01 = a01 - b01
     vals = np.minimum(np.sqrt(z * z + d01.real**2 + d01.imag**2), 1.0)

@@ -7,8 +7,8 @@ ordering is ancilla (x) system: |u,H>, |u,V>, |d,H>, |d,V>.
 
 The evolved dilation state is fixed by the qubit state (Guenther and
 Samsonov, PRL 101, 230404 (2008)), so the entropy and mutual information
-series come from the 2x2 propagator stack; ``evolve_embedded`` is the 4x4
-unitary route that the tests check them against.
+series come from the qubit ket evolved by ``evolve_ket``; ``evolve_embedded``
+is the 4x4 unitary route that the tests check them against.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from .qcore import (
     ID2,
     SIGMA_Y,
     as_density_matrix,
+    evolve_ket,
     mat_exp,
     normalized,
     propagator,
@@ -78,7 +79,7 @@ def entanglement_entropy_series(a: float, chi, times) -> TimeSeries:
     """System-ancilla entanglement entropy (base-2) along the time grid.
 
     The evolved state is |u> (x) phi + |d> (x) eta phi, normalized, with
-    phi = W(t) chi from the 2x2 propagator.  It is pure, so system and
+    phi = chi evolved by ``evolve_ket``.  It is pure, so system and
     ancilla share one entropy; the ancilla's state is the trace-normalized
     Gram matrix of the blocks (phi, psi = eta phi).  Its determinant is
     |phi_0 psi_1 - phi_1 psi_0|^2 (Lagrange's identity), never negative, so
@@ -87,11 +88,9 @@ def entanglement_entropy_series(a: float, chi, times) -> TimeSeries:
     an eigenvalue at or below ENTROPY_CUTOFF contributes nothing.
     """
     ts = np.asarray(times, dtype=float)
-    W, _ = propagator(build_hamiltonian(HamiltonianSpec(Family.PT, a)), ts)
-    c0, c1 = embed_initial(chi, a)[:2]   # the |u> block validates chi
+    prop = propagator(build_hamiltonian(HamiltonianSpec(Family.PT, a)), ts)
+    phi0, phi1 = evolve_ket(prop, embed_initial(chi, a)[:2])   # the |u> block validates chi
     (e00, e01), (e10, e11) = metric_eta(a)
-    phi0 = W[:, 0, 0] * c0 + W[:, 0, 1] * c1
-    phi1 = W[:, 1, 0] * c0 + W[:, 1, 1] * c1
     psi0, psi1 = e00 * phi0 + e01 * phi1, e10 * phi0 + e11 * phi1
     tr = sum(z.real**2 + z.imag**2 for z in (phi0, phi1, psi0, psi1))
     cross = phi0 * psi1 - phi1 * psi0

@@ -1,7 +1,7 @@
-"""Complex linear algebra kernel: a batched propagator over a time grid (2x2
-in closed form, exact at exceptional points; Hermitian 4x4 by ``eigh``), and
-trace distance, entropies and partial traces of one matrix or a stack
-(..., d, d).
+"""Complex linear algebra kernel: the 2x2 propagator's coefficients over a
+time grid (exact at exceptional points) and the ket evolution they give,
+e^{-iHt} of a 2x2 or a Hermitian 4x4, and trace distance, entropies and
+partial traces of one matrix or a stack (..., d, d).
 
 All operators are plain complex ndarrays of dimension 2 or 4 (hbar = 1
 throughout).  Density matrices are validated ndarrays; ``as_density_matrix``
@@ -127,54 +127,66 @@ def _squared_frequency(k00: complex, k01: complex, k10: complex) -> complex:
 
 
 def propagator(H, times):
-    """Scale-free stack ``(W, g)`` over a time grid: W of shape (N, d, d) has
-    entries of order one and e^{-iHt} = e^{-i Re(tr H) t/d} e^{g} W.
+    """Scale-free coefficients ``(c, s, K, g)`` of a 2x2 evolution over a
+    time grid: K = H - (tr H/2) 1 and, at each time,
+    e^{-iHt} = e^{-i Re(tr H) t/2} e^{g} (c 1 - i s K).
 
-    For 2x2, K = H - (tr H/2) 1 squares to w^2 1 with w^2 = k01 k10 + k00^2,
-    so e^{-iKt} = cos(wt) 1 - i t sinc(wt) K, exact at an exceptional point
-    (w = 0); W is that scaled by e^{-|Im w| t}.  A 4x4 K = H - (tr H/4) 1
-    must be Hermitian, as the dilation generator is, and W = V e^{-i Lambda t}
-    V^dag from one ``eigh``, with g = Im(tr H) t/4; otherwise InvalidMatrix.
+    K squares to w^2 1 with w^2 = k01 k10 + k00^2, so e^{-iKt} =
+    cos(wt) 1 - i t sinc(wt) K; c and s are cos(wt) and t sinc(wt) scaled
+    by e^{-|Im wt|}, which g takes up.  At an exceptional point (w = 0)
+    c = 1 and s = t exactly, so K's null vector is not moved.
     """
-    H = check_matrix(H)
+    H = check_matrix(H, dims=(2,))
     ts = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(ts).all():
         raise InvalidMatrix("times must be finite")
-    shift = np.trace(H) / len(H)
-    K = H - shift * np.eye(len(H))
-    g = shift.imag * ts
-    if len(H) == 2:
-        (k00, k01), (k10, _) = K.tolist()
-        w = cmath.sqrt(_squared_frequency(k00, k01, k10))
-        x = w * ts
-        # cosh and sinh of Im(wt), both scaled by e^{-|Im wt|}
-        e2 = np.expm1(-2 * np.abs(x.imag))
-        ch, sh = 1 + e2 / 2, np.copysign(e2 / 2, x.imag)
-        cr, sr = np.cos(x.real), np.sin(x.real)
-        cos = cr * ch - 1j * (sr * sh)
-        sin = sr * ch + 1j * (cr * sh)
-        tsinc = sin / w if w != 0 else ts
-        W = cos[:, None, None] * ID2 - 1j * tsinc[:, None, None] * K
-        return W, g + np.abs(x.imag)
-    defect = np.abs(K - K.conj().T).max()
-    if defect > HERMITICITY_TOL * max(1.0, np.abs(K).max()):
-        raise InvalidMatrix(f"a 4x4 generator must be Hermitian up to its trace: "
-                            f"K - K^dag has an entry of size {defect:.3e}")
-    lam, V = np.linalg.eigh(K)
-    return (V * np.exp(-1j * ts[:, None, None] * lam)) @ V.conj().T, g
+    shift = np.trace(H) / 2
+    K = H - shift * ID2
+    (k00, k01), (k10, _) = K.tolist()
+    w = cmath.sqrt(_squared_frequency(k00, k01, k10))
+    x = w * ts
+    # cosh and sinh of Im(wt), both scaled by e^{-|Im wt|}
+    e2 = np.expm1(-2 * np.abs(x.imag))
+    ch, sh = 1 + e2 / 2, np.copysign(e2 / 2, x.imag)
+    cr, sr = np.cos(x.real), np.sin(x.real)
+    c = cr * ch - 1j * (sr * sh)
+    s = (sr * ch + 1j * (cr * sh)) / w if w != 0 else ts
+    return c, s, K, shift.imag * ts + np.abs(x.imag)
+
+
+def evolve_ket(prop, ket):
+    """Entries (u0, u1) of u = c f - i s (K f), the ket f evolved over the
+    grid of ``prop = propagator(H, times)`` up to e^{-i Re(tr H) t/2} e^{g};
+    K f is formed once, so a null vector of K comes back exactly."""
+    c, s, K, _ = prop
+    (f0, f1), (kf0, kf1) = ket, K @ ket
+    return c * f0 - 1j * s * kf0, c * f1 - 1j * s * kf1
 
 
 def mat_exp(H, t: float) -> np.ndarray:
     """Evolution operator e^{-iHt} for a 2x2 complex matrix H, or a 4x4 one
     that is Hermitian up to a multiple of the identity.
 
-    The one-point case of ``propagator`` with the scalar factor restored, so
-    it is exact at exceptional points and overflows only where e^{-iHt}
-    itself does; normalized evolution uses ``propagator`` directly.
+    A 2x2 is the one-point ``propagator`` with its scalar factor restored,
+    so it is exact at exceptional points and overflows only where e^{-iHt}
+    itself does.  A 4x4 K = H - (tr H/4) 1 must be Hermitian, as the
+    dilation generator is, and e^{-iKt} = V e^{-i Lambda t} V^dag from one
+    ``eigh``; otherwise InvalidMatrix.
     """
-    W, g = propagator(H, [t])
-    shift = np.trace(np.asarray(H, dtype=complex)).real / len(W[0])
-    return np.exp(g[0] - 1j * shift * t) * W[0]
+    H = check_matrix(H)
+    if len(H) == 2:
+        (c,), (s,), K, (g,) = propagator(H, [t])
+        return np.exp(g - 1j * (np.trace(H).real / 2) * t) * (c * ID2 - 1j * s * K)
+    if not np.isfinite(t):
+        raise InvalidMatrix("times must be finite")
+    shift = np.trace(H) / 4
+    K = H - shift * np.eye(4)
+    defect = np.abs(K - K.conj().T).max()
+    if defect > HERMITICITY_TOL * max(1.0, np.abs(K).max()):
+        raise InvalidMatrix(f"a 4x4 generator must be Hermitian up to its trace: "
+                            f"K - K^dag has an entry of size {defect:.3e}")
+    lam, V = np.linalg.eigh(K)
+    return np.exp(-1j * shift * t) * ((V * np.exp(-1j * t * lam)) @ V.conj().T)
 
 
 def trace_distance(rho1, rho2):

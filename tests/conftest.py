@@ -67,6 +67,14 @@ def mpmath_expm_oracle(H, t, dps: int = 40) -> np.ndarray:
         return np.array(mpmath.expm(-1j * tH).tolist(), dtype=complex)
 
 
+def propagator_stack(H, times):
+    """``(W, g)`` with W = c 1 - i s K stacked over the grid from the
+    coefficients ``(c, s, K, g)`` of ``ptsim.qcore.propagator``, so that
+    e^{-iHt} = e^{-i Re(tr H) t/2} e^{g} W at each time."""
+    c, s, K, g = ptsim.qcore.propagator(H, times)
+    return c[:, None, None] * np.eye(2) - 1j * s[:, None, None] * K, g
+
+
 def random_density(rng, dim: int = 2) -> np.ndarray:
     """Full-rank random density matrix (Ginibre construction)."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

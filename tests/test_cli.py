@@ -61,6 +61,14 @@ class TestDistinguishability:
         printed = capsys.readouterr().out
         assert "no-recurrence (" in printed and "grid step 5.49889 " in printed
 
+    @pytest.mark.parametrize("t_max", [[], ["--t-max", "50"]], ids=["default", "uniform"])
+    def test_no_fit_at_the_exceptional_point(self, t_max, tmp_path, capsys):
+        # D(t) decays as a power law at a = 1, so no recurrence time is fitted
+        assert main(["distinguishability", "--a", "1.0", *t_max,
+                     "--out", str(tmp_path / "d.csv")]) == 0
+        printed = capsys.readouterr().out
+        assert "no-recurrence (D(t) does not recur at the exceptional point)" in printed
+
     def test_excursion_cut_by_the_window_still_fits(self, tmp_path, capsys):
         # D(0) sits just above the mid level, a one-sample excursion at t = 0
         code = main(["distinguishability", "--a", "0.87", "--initial", "H,L",
@@ -548,6 +556,25 @@ class TestFailureRecords:
         # tau = 2/3: the fit window (4 tau, 12 tau) holds 2 of the 4 samples
         (["scaling", "--regime", "broken", "--a", "1.25", "--points", "4"], 1,
          "window (2.66667, 8) holds 2 points; need >= 3"),
+        # time options: finite, t >= 0, t-min and t-max > 0, and a strictly
+        # increasing grid (5e-324 over 511 steps rounds every step to 0)
+        *((["distinguishability", "--a", "0.5", "--t-max", raw], 2,
+           f"t-max: must be finite and > 0, got {value}")
+          for raw, value in [("0", "0.0"), ("-1", "-1.0"), ("inf", "inf"), ("nan", "nan")]),
+        (["distinguishability", "--a", "0.5", "--t-max", "5e-324"], 2,
+         "times: 512 points from 0 to 4.94066e-324 do not strictly increase"),
+        (["embed", "--t-max", "0"], 2, "t-max: must be finite and > 0, got 0.0"),
+        (["embed", "--t-max", "-1"], 2, "t-max: must be finite and > 0, got -1.0"),
+        (["powerlaw", "--a", "1.0", "--t-min", "0"], 2, "t-min: must be finite and > 0, got 0.0"),
+        (["powerlaw", "--a", "1.0", "--t-min", "300"], 2,
+         "times: 512 points from 300 to 200 do not strictly increase"),
+        (["powerlaw", "--a", "1.0", "--t-max", "0"], 2, "t-max: must be finite and > 0, got 0.0"),
+        (["powerlaw", "--a", "1.0", "--t-max", "1e-9"], 2,
+         "times: 512 points from 0.1 to 1e-09 do not strictly increase"),
+        (["tomography", "--a", "0.5", "--t", "-1"], 2, "t: must be finite and >= 0, got -1.0"),
+        (["tomography", "--a", "0.5", "--t", "nan"], 2, "t: must be finite and >= 0, got nan"),
+        (["compile", "--variant", "full12", "--a", "0.5", "--t", "inf"], 2,
+         "t: must be finite and >= 0, got inf"),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
     def test_one_json_record(self, argv, code, says, tmp_path, capsys):
         eye3 = tmp_path / "eye3.csv"
@@ -569,8 +596,8 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 
 def test_figure_runs_leave_scipy_optimize_unloaded(tmp_path):
-    # the fits are linear least squares in numpy, the dilation series and the
-    # 4x4 propagator use numpy's eigh, and MLE its own Newton steps
+    # the fits are linear least squares in numpy, the 4x4 mat_exp uses
+    # numpy's eigh, and MLE its own Newton steps
     runs = [["run", "--config", str(CONFIG_DIR / "fig2.cfg"), "--out", f"{tmp_path}/f{{i}}.csv"],
             ["scaling", "--regime", "unbroken", "--out", str(tmp_path / "s.csv")],
             ["embed", "--a", "0.5", "--out", str(tmp_path / "e.csv")],

@@ -5,7 +5,7 @@ import itertools
 import mpmath
 import numpy as np
 import pytest
-from conftest import random_pure
+from conftest import propagator_stack, random_pure
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -28,7 +28,6 @@ from ptsim.qcore import (
     SIGMA_Y,
     SIGMA_Z,
     polarization_ket,
-    propagator,
     pure_state,
     trace_distance,
 )
@@ -354,6 +353,16 @@ class TestSeriesNearExceptionalPoint:
         tol = 16 * eps * times if a < 1 else 8 * eps
         assert np.all(np.abs(got - want) <= tol)
 
+    def test_h_l_close_to_the_exceptional_point(self):
+        # L is nearly K's null vector at a = 0.999; every 8th point of embed's
+        # default grid, two recurrence periods
+        times = np.linspace(0.0, 2 * recurrence_period(0.999), 256)[::8]
+        got = distinguishability_series(pt(0.999), RHO_H, pure_state(polarization_ket("L")),
+                                        times).values
+        want = [mpmath_distinguishability(build_hamiltonian(pt(0.999)), KET_H,
+                                          polarization_ket("L"), t) for t in times]
+        assert np.all(np.abs(got - want) <= 1e-14)
+
 
 def bloch_state(r) -> np.ndarray:
     x, y, z = r
@@ -371,7 +380,7 @@ _states = st.one_of(
 def matrix_route_series(spec, rho1, rho2, times):
     """D(t) the matrix way: W rho W^dag over the propagator stack by matmul,
     trace-normalized, and half the absolute eigenvalues of the difference."""
-    W, _ = propagator(build_hamiltonian(spec), times)
+    W, _ = propagator_stack(build_hamiltonian(spec), times)
     Wd = W.conj().transpose(0, 2, 1)
     m1, m2 = (W @ r @ Wd for r in (rho1, rho2))
     diff = (m1 / np.trace(m1, axis1=1, axis2=2).real[:, None, None]
@@ -381,7 +390,7 @@ def matrix_route_series(spec, rho1, rho2, times):
 
 
 def matrix_route_log_survival(spec, rho, times):
-    W, g = propagator(build_hamiltonian(spec), times)
+    W, g = propagator_stack(build_hamiltonian(spec), times)
     m = W @ rho @ W.conj().transpose(0, 2, 1)
     with np.errstate(divide="ignore"):
         return np.log(np.trace(m, axis1=1, axis2=2).real) + 2 * g
@@ -404,9 +413,6 @@ class TestKetRoute:
     def test_every_pair_at_the_exceptional_point_against_mpmath(self, family):
         times = default_time_grid(HamiltonianSpec(family, 1.0))   # geomspace(0.1, 200, 512)
         H = build_hamiltonian(HamiltonianSpec(family, 1.0))
-        # W = 1 - i t K holds 1 + t and 1 - t rounded, so a state that K
-        # annihilates (L for pt) moves by up to a quarter ulp of t
-        tol = 1e-15 + np.finfo(float).eps * times / 2
         with mpmath.workdps(40):
             Us = [mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(H.tolist())) for t in times]
             for pair in itertools.combinations(_LABELS, 2):
@@ -414,7 +420,7 @@ class TestKetRoute:
                 got = distinguishability_series(HamiltonianSpec(family, 1.0), pure_state(k1),
                                                 pure_state(k2), times).values
                 want = [mpmath_pure_distance(U, k1, k2) for U in Us]
-                assert np.all(np.abs(got - want) <= tol), pair
+                assert np.all(np.abs(got - want) <= 1e-15), pair
 
     @pytest.mark.parametrize("rho", [RHO_H, bloch_state([0.3, -0.4, 0.5])])
     def test_annihilated_where_the_matrix_route_says(self, rho):

@@ -178,9 +178,10 @@ _grids = st.lists(st.floats(0.0, 30.0), min_size=1, max_size=6, unique=True).map
 
 
 class TestTwoByTwoRoute:
-    """The series come from the 2x2 propagator stack; the reference evolves
-    the 4x4 dilation unitarily and traces it out.  Both must agree within
-    1e-13 in entropy (base 2) for a in [0, 0.999] and any initial qubit state."""
+    """The series come from the qubit ket evolved by ``evolve_ket``; the
+    reference evolves the 4x4 dilation unitarily and traces it out.  Both must
+    agree within 1e-13 in entropy (base 2) for a in [0, 0.999] and any
+    initial qubit state."""
 
     @given(st.floats(0.0, 0.999), _kets, _grids)
     def test_entropy_and_information_match_4x4_route(self, a, chi, times):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     mpmath_expm_oracle,
+    propagator_stack,
     random_density,
     random_pure,
     random_unitary,
@@ -22,6 +23,7 @@ from ptsim.qcore import (
     SIGMA_Y,
     SIGMA_Z,
     as_density_matrix,
+    evolve_ket,
     fidelity,
     mat_exp,
     partial_trace,
@@ -92,17 +94,20 @@ class TestMatExp:
             mat_exp(np.eye(3), 1.0)
         with pytest.raises(InvalidMatrix):
             mat_exp(SIGMA_X, np.inf)
+        with pytest.raises(InvalidMatrix, match="times must be finite"):
+            mat_exp(np.kron(SIGMA_Z, SIGMA_X), np.nan)
 
 
 def oracle_mismatch(H, times, oracle=taylor_expm_oracle):
-    """Largest relative spectral error of the propagator stack, rebuilt as
-    e^{-i Re(tr H) t/2} e^g W, against an oracle (Taylor by default).
+    """Largest relative spectral error of the propagator, rebuilt as
+    e^{-i Re(tr H) t/2} e^g (c 1 - i s K), against an oracle (Taylor by
+    default).
 
     The oracle's own roundoff grows with its number of substeps, which is
     proportional to ||tH||, so the error is returned in units of
     1e-13 (1 + ||tH||).
     """
-    W, g = propagator(H, times)
+    W, g = propagator_stack(H, times)
     phase = np.trace(H).real / 2
     worst = 0.0
     for t, w, gt in zip(times, W, g):
@@ -139,35 +144,58 @@ class TestPropagator:
         assert oracle_mismatch(H, times, mpmath_expm_oracle) < 1
 
     def test_tiny_time(self):
-        W, g = propagator(SIGMA_X + 0.5j * SIGMA_Z, [5e-324, 1e-300])
-        assert np.all(np.isfinite(W))
-        np.testing.assert_allclose(W, [ID2, ID2], atol=1e-15)
+        c, s, _, g = propagator(SIGMA_X + 0.5j * SIGMA_Z, [5e-324, 1e-300])
+        np.testing.assert_allclose(c, [1, 1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(s, [5e-324, 1e-300], rtol=1e-15, atol=0)
+        assert np.all(g == 0)
 
     def test_scale_free_far_past_overflow(self):
-        # e^{-iHt} is ~e^{8660} at a = 2, t = 5000; W and g stay finite
-        W, g = propagator(SIGMA_X + 2j * SIGMA_Z, [0.0, 5000.0])
-        assert np.all(np.isfinite(W)) and np.abs(W).max() < 2
+        # e^{-iHt} is ~e^{8660} at a = 2, t = 5000; c, s and g stay finite
+        c, s, _, g = propagator(SIGMA_X + 2j * SIGMA_Z, [0.0, 5000.0])
+        assert np.all(np.isfinite(c)) and np.abs(c).max() <= 1
+        assert np.all(np.isfinite(s)) and np.abs(s).max() < 1
         np.testing.assert_allclose(g, [0.0, np.sqrt(3) * 5000.0], rtol=1e-15)
+
+    def test_two_by_two_only(self):
+        with pytest.raises(InvalidMatrix, match=r"dimension 4 not in \(2,\)"):
+            propagator(np.eye(4), [0.0])
+
+    @given(st.lists(_entry, min_size=12, max_size=12), _times)
+    def test_evolve_ket_matches_mat_exp(self, entries, times):
+        H = (np.array(entries[:4]) + 1j * np.array(entries[4:8])).reshape(2, 2)
+        ket = np.array(entries[8:10]) + 1j * np.array(entries[10:])
+        prop = propagator(H, times)
+        u0, u1 = evolve_ket(prop, ket)
+        g = prop[3]
+        phase = np.trace(H).real / 2
+        for i, t in enumerate(times):
+            U = mat_exp(H, t)
+            got = np.exp(g[i] - 1j * phase * t) * np.array([u0[i], u1[i]])
+            tol = 1e-13 * (1 + t * np.linalg.norm(H, 2)) * np.linalg.norm(U, 2)
+            assert np.linalg.norm(got - U @ ket) <= tol * np.linalg.norm(ket)
+
+    @given(st.integers(-8, 8), st.integers(-8, 8), st.sampled_from([1, 1j, -1, -1j]),
+           st.lists(st.floats(0.0, 1e12), min_size=1, max_size=4))
+    def test_evolve_ket_keeps_the_null_vector_exactly(self, m, n, unit, times):
+        # K (m, -i n) = 0 in floating point, and c = 1 exactly at w = 0
+        H = unit * np.array([[1j * m * n, m * m], [n * n, -1j * m * n]]) / 8
+        u0, u1 = evolve_ket(propagator(H, times), np.array([m, -1j * n]))
+        assert np.all(u0 == m) and np.all(u1 == -1j * n)
 
     def test_hermitian_4x4_batched(self):
         H = np.kron(SIGMA_Z, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)
-        times = np.linspace(0.0, 3.0, 7)
-        W, g = propagator(H, times)
-        assert W.shape == (7, 4, 4) and np.all(g == 0)
-        for t, w in zip(times, W):
-            assert spectral_rel_err(w, taylor_expm_oracle(H, t)) < 1e-12
+        for t in np.linspace(0.0, 3.0, 7):
+            assert spectral_rel_err(mat_exp(H, t), taylor_expm_oracle(H, t)) < 1e-12
 
     def test_non_hermitian_4x4(self):
         H = np.kron(SIGMA_Z, SIGMA_X + 0.5j * SIGMA_Z)
         with pytest.raises(InvalidMatrix, match="must be Hermitian up to its trace: "
                                                 "K - K\\^dag has an entry of size 1.000e\\+00"):
-            propagator(H, [0.8])
+            mat_exp(H, 0.8)
 
     def test_trace_of_4x4_may_be_complex(self):
-        # only K = H - (tr H/4) 1 must be Hermitian; Im tr H goes into g
+        # only K = H - (tr H/4) 1 must be Hermitian; Im tr H scales the result
         H = np.kron(SIGMA_Z, SIGMA_X) + 0.25j * np.eye(4)
-        W, g = propagator(H, [0.0, 2.0])
-        np.testing.assert_allclose(g, [0.0, 0.5], rtol=1e-15)
         assert spectral_rel_err(mat_exp(H, 2.0), taylor_expm_oracle(H, 2.0)) < 1e-12
 
     @pytest.mark.parametrize("a", [0.5, 0.99])
@@ -175,13 +203,8 @@ class TestPropagator:
         from ptsim.embedding import build_h_tot
 
         H = build_h_tot(a)
-        times = [0.0, 0.3, 2.0, 7.5, 19.0, 40.0]
-        W, g = propagator(H, times)
-        assert np.all(g == 0)
-        phase = np.trace(H).real / 4
-        for t, w in zip(times, W):
-            got = np.exp(-1j * phase * t) * w
-            assert spectral_rel_err(got, mpmath_expm_oracle(H, t)) < 1e-12
+        for t in [0.0, 0.3, 2.0, 7.5, 19.0, 40.0]:
+            assert spectral_rel_err(mat_exp(H, t), mpmath_expm_oracle(H, t)) < 1e-12
 
 
 class TestTraceDistance:
