@@ -26,9 +26,9 @@ import numpy as np
 from . import embedding, optics
 from .dynamics import (
     MIN_RECURRENCE_POINTS, default_time_grid, distinguishability_series, evolve,
-    fit_power_law_exponent, fit_recurrence_time, fit_relaxation_time,
+    fit_power_law_exponent, fit_recurrence_time, fit_relaxation_time, window_mask,
 )
-from .errors import CompileFailed, ConfigError, NoOscillation, PTSimError
+from .errors import CompileFailed, ConfigError, InvalidWindow, NoOscillation, PTSimError
 from .models import Family, HamiltonianSpec, build_hamiltonian, classify_regime
 from .qcore import fidelity, mat_exp, polarization_ket, pure_state
 from .tomography import born_probabilities, mle_reconstruct, simulate_counts, standard_bases
@@ -145,13 +145,16 @@ def _target_file(raw: str) -> np.ndarray:
 _positive_int = _admit(int, lambda n: n > 0, "cannot parse {raw!r}")
 _finite_nonnegative = _admit(float, lambda x: 0 <= x < np.inf,
                              "must be finite and >= 0, got {value}")
+# every family's w^2 holds a^2, which must not overflow
+_parameter_a = _admit(_finite_nonnegative, lambda a: a * a < np.inf,
+                      "its square overflows, got {value}")
 _finite_positive = _admit(float, lambda x: 0 < x < np.inf, "must be finite and > 0, got {value}")
 _VARIANTS = [v.value for v in optics.DecompositionVariant]
 
 _PARSERS = {
-    "seed": int,
+    "seed": _admit(int, lambda n: n >= 0, "must be an integer >= 0, got {raw!r}"),
     "family": lambda raw: Family(raw.lower()),
-    "a": _finite_nonnegative,
+    "a": _parameter_a,
     "c": float,
     "initial": _admit(_kets, lambda kets: len(kets[1]) == 2, "cannot parse {raw!r}"),
     "state": _admit(_kets, lambda kets: len(kets[1]) == 1, "cannot parse {raw!r}"),
@@ -351,7 +354,7 @@ EXPERIMENTS = {
     "scaling": Experiment(
         "recurrence or relaxation time versus a", _run_scaling,
         {"regime": "unbroken", "a": None, "initial": "H,V", "points": "512"},
-        parsers={"a": lambda raw: tuple(map(_finite_nonnegative, raw.split(",")))},
+        parsers={"a": lambda raw: tuple(map(_parameter_a, raw.split(",")))},
         check=_check_scaling),
     "powerlaw": Experiment(
         "exceptional-point log-log series and exponent", _run_powerlaw,
@@ -433,7 +436,7 @@ def _plan(ns: argparse.Namespace) -> list:
                   for key, texts in sweep.items() if len(texts) not in (1, width)]
     if width > 1 and not exp.sweeps:
         violations.append(f"{name}: sweeps are not supported")
-    master_seed = _parse("seed", raw.get("seed") or "0", int, violations)
+    master_seed = _parse("seed", raw.get("seed") or "0", _PARSERS["seed"], violations)
     if violations:
         raise ConfigError(violations)
     template = raw.get("out") or f"out/{name}_{{i}}{exp.suffix}"
@@ -463,6 +466,11 @@ def _plan(ns: argparse.Namespace) -> list:
             if not np.all(np.diff(grid) > 0):   # a series needs strictly increasing times
                 violations.append(f"times: {len(grid)} points from {grid[0]:g} to "
                                   f"{grid[-1]:g} do not strictly increase")
+            if "window" in values:   # the power-law fit's own rule, on the planned grid
+                try:
+                    window_mask(grid, values["window"])
+                except InvalidWindow as exc:
+                    violations.append(f"window: {exc}")
         subs = {key: run.get(key, "") for key in _SWEEP_KEYS}
         subs["initial"] = subs["initial"].replace(",", "")
         try:

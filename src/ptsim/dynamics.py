@@ -1,7 +1,8 @@
 """Non-unitary state evolution, distinguishability time series, and the
 critical-scaling extractors: recurrence time (from mid-level crossings, so it
 holds for the narrow peaks near the exceptional point), relaxation time and
-power-law exponent.  Every fit is linear least squares in numpy."""
+power-law exponent.  Every fit is the one closed-form least-squares line of
+``_line_fit``."""
 
 from dataclasses import dataclass, field
 
@@ -13,6 +14,7 @@ from .qcore import ID2, as_density_matrix, evolve_ket, propagator
 
 TRACE_FLOOR = 1e-300
 _LOG_TRACE_FLOOR = np.log(TRACE_FLOOR)
+_LN2 = np.log(2.0)
 DEFAULT_POINTS = 512
 MIN_RECURRENCE_POINTS = 64   # fewest samples fit_recurrence_time accepts
 
@@ -72,22 +74,30 @@ def _normalized_evolution(prop, rho, times):
     leaks into the other direction, which the evolution amplifies by t near
     the exceptional point.  The survival probability is tested as a
     logarithm, with the propagator's e^{g} added back, which no amplified
-    state overflows.
+    state overflows.  At the exceptional point a ket grows as t, and its
+    square would overflow past t ~ 1e154, so both kets are first scaled by
+    the one power of two 2^-e that brings their largest entry into
+    [1/2, 1); the scaling is exact, so the normalized entries do not move,
+    and e is added back in the logarithm too.
     """
     k = int(rho[1, 1].real > rho[0, 0].real)
-    u0, u1 = evolve_ket(prop, rho[:, k])
+    det = max((rho[0, 0] * rho[1, 1]).real - abs(rho[0, 1]) ** 2, 0.0)
+    kets = [evolve_ket(prop, rho[:, k])]
+    if det > 0:
+        kets.append(evolve_ket(prop, ID2[1 - k]))
+    kets = np.array(kets)
+    e = np.frexp(np.abs(kets).max(axis=(0, 1)))[1]
+    (u0, u1), *mixed = kets * np.ldexp(1.0, -e)
     m00 = u0.real**2 + u0.imag**2
     m11 = u1.real**2 + u1.imag**2
     m01 = u0 * u1.conj()
-    det = max((rho[0, 0] * rho[1, 1]).real - abs(rho[0, 1]) ** 2, 0.0)
-    if det > 0:
-        v0, v1 = evolve_ket(prop, ID2[1 - k])
+    for v0, v1 in mixed:
         m00 = m00 + det * (v0.real**2 + v0.imag**2)
         m11 = m11 + det * (v1.real**2 + v1.imag**2)
         m01 = m01 + det * (v0 * v1.conj())
     tr = m00 + m11
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(tr) + (2 * prop[3] - np.log(rho[k, k].real))
+        log_p = np.log(tr) + (2 * (prop[3] + e * _LN2) - np.log(rho[k, k].real))
     if not log_p.min(initial=np.inf) >= _LOG_TRACE_FLOOR:   # NaN fails too
         i = np.argmax(~(log_p >= _LOG_TRACE_FLOOR))
         raise StateAnnihilated(f"log survival probability {log_p[i]:.6g} is below "
@@ -182,28 +192,27 @@ def fit_recurrence_time(series: TimeSeries) -> FitResult:
     for c in (crossings, crossings[::2]):
         if len(c) < 2:
             break
-        k = np.arange(len(c)) - (len(c) - 1) / 2
-        period = float(k @ c / (k @ k))
+        period, stderr, rms = _line_fit(np.arange(len(c)), c)
         shifted = t[t <= t[-1] - period]
         if np.abs(np.interp(shifted + period, t, y) - y[:len(shifted)]).max() > tol:
             continue
-        resid = c - c.mean() - period * k
-        sse = float(resid @ resid)
-        return FitResult(
-            parameter=period,
-            stderr=float(np.sqrt(sse / (len(c) - 2) / (k @ k))) if len(c) > 2 else np.inf,
-            window=(float(t[0]), float(t[-1])),
-            residual_rms=float(np.sqrt(sse / len(c))),
-        )
+        return FitResult(period, stderr, (float(t[0]), float(t[-1])), rms)
     raise NoOscillation(f"the series does not overlap itself shifted by its fitted period "
                         f"{period:.6g} within {tol:.3g}")
 
 
-def _window_slice(series: TimeSeries, window, log_time: bool):
+def window_mask(times: np.ndarray, window) -> np.ndarray:
+    """Which times lie in the closed window (t_min, t_max); InvalidWindow
+    when fewer than the 3 points that give a fitted line an error."""
     t_min, t_max = window
-    mask = (series.times >= t_min) & (series.times <= t_max)
+    mask = (times >= t_min) & (times <= t_max)
     if mask.sum() < 3:
         raise InvalidWindow(f"window ({t_min:g}, {t_max:g}) holds {mask.sum()} points; need >= 3")
+    return mask
+
+
+def _window_slice(series: TimeSeries, window, log_time: bool):
+    mask = window_mask(series.times, window)
     t = series.times[mask]
     y = series.values[mask]
     if np.any(y <= 0):
@@ -213,11 +222,15 @@ def _window_slice(series: TimeSeries, window, log_time: bool):
     return t, y
 
 
-def _line_fit(x: np.ndarray, logy: np.ndarray):
-    coef, cov = np.polyfit(x, logy, 1, cov=True)
-    resid = logy - np.polyval(coef, x)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return float(coef[0]), float(np.sqrt(cov[0, 0])), rms
+def _line_fit(x: np.ndarray, y: np.ndarray):
+    """Least-squares slope of y against x with x centred, the slope's
+    standard error (inf from two points) and the RMS residual."""
+    dx = x - x.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ y / sxx)
+    norm = np.hypot.reduce(y - y.mean() - slope * dx)   # sqrt(SSE), which cannot overflow
+    stderr = float(norm / np.sqrt((len(x) - 2) * sxx)) if len(x) > 2 else np.inf
+    return slope, stderr, float(norm / np.sqrt(len(x)))
 
 
 def fit_relaxation_time(series: TimeSeries, window) -> FitResult:
@@ -231,22 +244,11 @@ def fit_relaxation_time(series: TimeSeries, window) -> FitResult:
     """
     t, y = _window_slice(series, window, log_time=False)
     slope, slope_err, rms = _line_fit(t, np.log(y))
-    tau = -1.0 / slope
-    return FitResult(
-        parameter=tau,
-        stderr=abs(slope_err / slope**2),
-        window=(float(t[0]), float(t[-1])),
-        residual_rms=rms,
-    )
+    return FitResult(-1.0 / slope, abs(slope_err / slope**2), (float(t[0]), float(t[-1])), rms)
 
 
 def fit_power_law_exponent(series: TimeSeries, window) -> FitResult:
     """Log-log slope of the series on the window."""
     t, y = _window_slice(series, window, log_time=True)
     slope, slope_err, rms = _line_fit(np.log(t), np.log(y))
-    return FitResult(
-        parameter=slope,
-        stderr=slope_err,
-        window=(float(t[0]), float(t[-1])),
-        residual_rms=rms,
-    )
+    return FitResult(slope, slope_err, (float(t[0]), float(t[-1])), rms)

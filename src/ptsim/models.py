@@ -73,14 +73,14 @@ def metric_eta(a: float) -> np.ndarray:
     """Metric operator of the gain-loss family, positive definite when unbroken."""
     if classify_regime(a).kind != "unbroken":
         raise MetricUndefined(f"metric is singular at and beyond the exceptional point (a = {a})")
-    return (1.0 / np.sqrt(1.0 - a * a)) * np.array([[1, -1j * a], [1j * a, 1]])
+    return (1.0 / np.sqrt((1.0 - a) * (1.0 + a))) * np.array([[1, -1j * a], [1j * a, 1]])
 
 
 def normalization_c(a: float) -> float:
     """Dilation normalization: the metric's eigenvalues are (1 +- a)/sqrt(1 - a^2),
-    so their reciprocals sum to 2/sqrt(1 - a^2), which diverges as a -> 1."""
-    metric_eta(a)   # validates a
-    return float(2.0 / np.sqrt(1.0 - a * a))
+    so their reciprocals sum to 2/sqrt(1 - a^2) = 2 eta_00, which diverges
+    as a -> 1."""
+    return float(2 * metric_eta(a)[0, 0].real)
 
 
 def classify_regime(a: float) -> Regime:
@@ -93,10 +93,10 @@ def classify_regime(a: float) -> Regime:
     if not np.isfinite(a) or a < 0:
         raise ValueError(f"a must be finite and >= 0, got {a!r}")
     eps = 1.0 - a
-    if eps > EP_TOL:
-        return Regime("unbroken", eps, float(np.pi / np.sqrt(1 - a * a)))
+    if eps > EP_TOL:   # 1 - a^2 as (1 - a)(1 + a), which does not cancel near the EP
+        return Regime("unbroken", eps, float(np.pi / np.sqrt(eps * (1 + a))))
     if eps < -EP_TOL:
-        return Regime("broken", eps, float(1.0 / (2 * np.sqrt(a * a - 1))))
+        return Regime("broken", eps, float(1.0 / (2 * np.sqrt((a - 1) * (a + 1)))))
     return Regime("exceptional-point", eps, np.inf)
 
 

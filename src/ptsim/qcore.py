@@ -143,7 +143,10 @@ def propagator(H, times):
     shift = np.trace(H) / 2
     K = H - shift * ID2
     (k00, k01), (k10, _) = K.tolist()
-    w = cmath.sqrt(_squared_frequency(k00, k01, k10))
+    w2 = _squared_frequency(k00, k01, k10)
+    if not cmath.isfinite(w2):
+        raise InvalidMatrix(f"w^2 = k01 k10 + k00^2 of K = H - (tr H/2) 1 is {w2}, not finite")
+    w = cmath.sqrt(w2)
     x = w * ts
     # cosh and sinh of Im(wt), both scaled by e^{-|Im wt|}
     e2 = np.expm1(-2 * np.abs(x.imag))

@@ -3,6 +3,7 @@
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ptsim import embedding
-from ptsim.cli import _run_seed, load_config, main, write_csv
+from ptsim.cli import EXPERIMENTS, _run_seed, load_config, main, write_csv
 from ptsim.dynamics import distinguishability_series
 from ptsim.errors import ConfigError
 from ptsim.models import Family, HamiltonianSpec
@@ -100,6 +101,22 @@ class TestPowerlaw:
         printed = capsys.readouterr().out
         exponent = float(printed.split("exponent=")[1].split()[0])
         assert exponent == pytest.approx(-1.0, abs=0.05)
+
+
+class TestLongTimesAtTheExceptionalPoint:
+    # a ket grows as t at a = 1; its square would overflow past t ~ 1.3e154
+    @pytest.mark.parametrize("argv", [
+        ["distinguishability", "--a", "1.0", "--t-max", "1e160"],
+        # 2,048 points leave 7 in the window (20, 200)
+        ["powerlaw", "--a", "1.0", "--t-max", "1e300", "--points", "2048"],
+        ["tomography", "--a", "1.0", "--t", "1e200"],
+    ], ids=" ".join)
+    def test_runs(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, rows = read_csv(out)
+        assert all(np.isfinite(float(v)) for row in rows for v in row[1:])
 
 
 class TestScaling:
@@ -343,6 +360,13 @@ class TestConfigHandling:
             load_config(cfg)
         assert len(exc.value.violations) == 2
 
+    def test_negative_seed_in_config_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("experiment = embed\nseed = -3\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 2
+        assert json.loads(capsys.readouterr().err)["violations"] == [
+            "seed: must be an integer >= 0, got '-3'"]
+
     def test_bad_values_all_listed(self, tmp_path, capsys):
         code = main([
             "distinguishability", "--a", "abc", "--points", "-3",
@@ -575,6 +599,23 @@ class TestFailureRecords:
         (["tomography", "--a", "0.5", "--t", "nan"], 2, "t: must be finite and >= 0, got nan"),
         (["compile", "--variant", "full12", "--a", "0.5", "--t", "inf"], 2,
          "t: must be finite and >= 0, got inf"),
+        # numpy's SeedSequence takes no negative seed
+        *(([*argv, "--seed", "-1"], 2, "seed: must be an integer >= 0, got '-1'")
+          for argv in (["distinguishability", "--a", "0.5"], ["scaling"], ["powerlaw", "--a", "1"],
+                       ["embed"], ["tomography", "--a", "0.5"],
+                       ["compile", "--variant", "full12", "--a", "0.5"])),
+        # the power-law window must hold 3 points of the planned grid
+        *((["powerlaw", "--a", "1.0", *flags], 2, f"window: window {window} holds {n} points; "
+                                                  "need >= 3")
+          for flags, window, n in [(["--t-max", "3"], "(20, 200)", 0),
+                                   (["--points", "3"], "(20, 200)", 1),
+                                   (["--t-min", "1e-300"], "(20, 200)", 2),
+                                   (["--window", "200,20"], "(200, 20)", 0),
+                                   (["--window", "nan,5"], "(nan, 5)", 0)]),
+        # every family's w^2 holds a^2
+        *(([*argv, "--a", "1e300"], 2, "a: its square overflows, got 1e+300")
+          for argv in (["powerlaw"], ["tomography"], ["compile", "--variant", "pt-simplified"],
+                       ["scaling", "--regime", "broken"])),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
     def test_one_json_record(self, argv, code, says, tmp_path, capsys):
         eye3 = tmp_path / "eye3.csv"
@@ -618,3 +659,57 @@ def test_compile_runs_leave_scipy_optimize_unloaded(tmp_path):
     run_fresh("import sys\nfrom ptsim.cli import main\n"
               f"for argv in {runs!r}:\n    assert main(argv) == 0\n"
               "sys.exit('scipy' in sys.modules)")
+
+
+# A valid run of each experiment, small enough that the whole boundary table
+# below runs in seconds.
+_BASE_OPTIONS = {
+    "distinguishability": {"a": "0.5", "points": "64"},
+    "scaling": {"a": "0.5", "points": "64"},
+    "powerlaw": {"a": "1.0", "points": "64"},
+    "embed": {"points": "16"},
+    "tomography": {"a": "0.5", "shots": "200"},
+    "compile": {"variant": "pt-simplified", "a": "0.5", "restarts": "2"},
+}
+_BOUNDARY_VALUES = ("0", "-1", "-0", "nan", "inf", "-inf", "1e-300", "5e-324", "1e300", "abc",
+                    "1,2")
+_COUNTS = ("points", "shots", "restarts")   # a huge count only allocates memory
+_SWAPPED_BOUNDS = {"t-min": "200", "t-max": "0.1", "window": "200,20"}
+
+
+def _boundary_cases():
+    for name, experiment in EXPERIMENTS.items():
+        for key in (*experiment.options, "seed"):
+            values = [v for v in _BOUNDARY_VALUES
+                      if not (key in _COUNTS and v in ("inf", "1e300"))]
+            if name == "powerlaw" and key in _SWAPPED_BOUNDS:
+                values.append(_SWAPPED_BOUNDS[key])
+            yield from ((name, key, value) for value in values)
+
+
+@pytest.fixture(scope="module")
+def boundary_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("boundary")
+
+
+@pytest.mark.parametrize("name, key, value", list(_boundary_cases()))
+def test_boundary_value_gives_one_honest_record(name, key, value, boundary_dir, monkeypatch,
+                                                capsys):
+    # every option of every experiment, one boundary value at a time: a run
+    # succeeds silently or fails with exactly one JSON record, never a traceback
+    monkeypatch.chdir(boundary_dir)   # a value read as a target-file path names no file
+    options = {**_BASE_OPTIONS[name], key: value}
+    # --key=value, since argparse reads a separate "-inf" as a flag
+    argv = [name, *(f"--{k}={v}" for k, v in options.items()),
+            "--out", str(boundary_dir / f"{name}-{key}-{{i}}.out")]
+    # pytest captures warnings, which a plain run would print to stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1 and "error" in json.loads(err)

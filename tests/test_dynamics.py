@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ptsim.dynamics import (
     TRACE_FLOOR,
     TimeSeries,
+    _line_fit,
     default_time_grid,
     distinguishability_series,
     evolve,
@@ -162,6 +163,51 @@ class TestBatchedSeries:
         passive = distinguishability_series(HamiltonianSpec(Family.PASSIVE_PT, a), rho1, rho2, grid)
         np.testing.assert_allclose(passive.values, balanced.values, rtol=0, atol=1e-12)
 
+
+
+class TestLongTimesAtTheExceptionalPoint:
+    """At a = 1 an evolved ket grows as t, so its square would overflow past
+    t ~ 1.3e154; the series and evolve scale it first."""
+
+    @pytest.mark.parametrize("label", ["V", "L"])
+    def test_pt_series_against_mpmath(self, label):
+        times = np.array([1e155, 1e200, 1e300])
+        H = build_hamiltonian(pt(1.0))
+        assert not (H @ H).any()   # so e^{-iHt} = 1 - i t H exactly
+        k2 = polarization_ket(label)
+        got = distinguishability_series(pt(1.0), RHO_H, pure_state(k2), times).values
+        with mpmath.workdps(700):   # resolves 1 against t = 1e300 and D down to 1e-300
+            want = [mpmath_pure_distance(mpmath.eye(2) - 1j * mpmath.mpf(t)
+                                         * mpmath.matrix(H.tolist()), KET_H, k2) for t in times]
+        assert np.all(np.abs(got - want) <= 1e-15)
+
+    def test_pure_state_tends_to_the_null_vector(self):
+        got = evolve(pt(1.0), RHO_H, 1e300)
+        assert np.abs(got - pure_state(polarization_ket("L"))).max() <= 1e-15
+
+    def test_mixed_state_from_kets_of_different_scale(self):
+        # H is the t family's null vector and stays put; the basis ket V grows as t
+        got = evolve(HamiltonianSpec(Family.TIME_REVERSAL, 1.0), np.diag([0.7, 0.3]), 1e300)
+        assert np.abs(got - RHO_H).max() <= 1e-15
+
+
+class TestLineFit:
+    @given(st.integers(3, 64), st.floats(1.0, 5.0), st.floats(-2.0, 2.0),
+           st.floats(0.1, 2.0), st.sampled_from([-1.0, 1.0]), st.floats(-2.0, 2.0),
+           st.floats(0.1, 1.0), st.integers(0, 2**32 - 1))
+    def test_matches_polyfit(self, n, width, centre, size, sign, intercept, noise, seed):
+        # a line through points spread about the origin, plus residuals of RMS
+        # ``noise`` that no line absorbs
+        rng = np.random.default_rng(seed)
+        x = centre + width * (np.sort(rng.random(n)) - 0.5)
+        basis = np.column_stack([np.ones(n), x])
+        r = rng.standard_normal(n)
+        r -= basis @ np.linalg.lstsq(basis, r, rcond=None)[0]
+        y = sign * size * x + intercept + noise * r / np.sqrt(np.mean(r**2))
+        coef, cov = np.polyfit(x, y, 1, cov=True)
+        rms = np.sqrt(np.mean((y - np.polyval(coef, x)) ** 2))
+        np.testing.assert_allclose(_line_fit(x, y), (coef[0], np.sqrt(cov[0, 0]), rms),
+                                   rtol=1e-12, atol=0)
 
 
 class TestRecurrenceFit:

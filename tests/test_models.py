@@ -1,5 +1,6 @@
 """Hamiltonian constructors, the metric operator, and the regime classifier."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -142,6 +143,29 @@ class TestRegime:
         assert classify_regime(1.0 + 1e-9).kind == "broken"
         with pytest.raises(ValueError):
             classify_regime(-0.5)
+
+
+# a = 1 +- {1, 3} 10^-k, k = 2..11: 1 - a^2 cancels to O(epsilon) near the EP
+_NEAR_EP = [1 + sign * m * 10.0**-k for k in range(2, 12) for m in (1, 3) for sign in (-1, 1)]
+
+
+class TestClosedFormsNearTheExceptionalPoint:
+    """Against 50-digit mpmath at the double a, each closed form stays within
+    two ulps, which a rounded 1 - a*a does not (2.5e-9 for T and tau)."""
+
+    @pytest.mark.parametrize("a", _NEAR_EP)
+    def test_timescale(self, a):
+        with mpmath.workdps(50):
+            w2 = 1 - mpmath.mpf(a) ** 2
+            want = mpmath.pi / mpmath.sqrt(w2) if a < 1 else 1 / (2 * mpmath.sqrt(-w2))
+            assert abs(classify_regime(a).timescale / want - 1) <= 4.4e-16
+
+    @pytest.mark.parametrize("a", [a for a in _NEAR_EP if a < 1])
+    def test_metric_and_normalization(self, a):
+        with mpmath.workdps(50):
+            scale = 1 / mpmath.sqrt(1 - mpmath.mpf(a) ** 2)
+            assert abs(metric_eta(a)[0, 0].real / scale - 1) <= 4.4e-16
+            assert abs(normalization_c(a) / (2 * scale) - 1) <= 4.4e-16
 
 
 class TestPseudoHermiticity:

@@ -156,6 +156,11 @@ class TestPropagator:
         assert np.all(np.isfinite(s)) and np.abs(s).max() < 1
         np.testing.assert_allclose(g, [0.0, np.sqrt(3) * 5000.0], rtol=1e-15)
 
+    def test_overflowing_frequency_refused(self):
+        # w^2 = 1 - a^2 overflows at a = 1e300, and no NaN may reach a caller
+        with pytest.raises(InvalidMatrix, match="not finite"):
+            propagator(SIGMA_X + 1e300j * SIGMA_Z, [1.0])
+
     def test_two_by_two_only(self):
         with pytest.raises(InvalidMatrix, match=r"dimension 4 not in \(2,\)"):
             propagator(np.eye(4), [0.0])
