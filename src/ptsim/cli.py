@@ -196,6 +196,17 @@ def _check_qubit_family(v) -> list:
     return []
 
 
+def _check_powerlaw(v) -> list:
+    """The exponent fit's window must hold enough points of the planned grid."""
+    violations = _check_qubit_family(v)
+    if "grid" in v:
+        try:
+            window_mask(v["grid"], v["window"])
+        except InvalidWindow as exc:
+            violations.append(f"window: {exc}")
+    return violations
+
+
 def _run_distinguishability(v, seed, out):
     spec, ((k1, k2), labels) = v["spec"], v["initial"]
     series = distinguishability_series(spec, pure_state(k1), pure_state(k2), v["grid"])
@@ -329,8 +340,9 @@ class Experiment:
     and returns its summary line.  ``options`` maps each key to its default
     text (None: no default); a ``required`` entry ``x`` or ``x|y`` names keys
     of which one must be given; ``parsers`` replaces ``_PARSERS`` for keys read
-    differently; ``check`` returns a run's violations and may fill values;
-    ``grid`` builds a series run's time grid from its valid values;
+    differently; ``grid`` builds a series run's time grid from its valid
+    values, stored as ``values["grid"]`` when strictly increasing; ``check``
+    then returns a run's violations and may fill values;
     ``suffix`` ends the default output path out/<name>_{i}<suffix>."""
 
     help: str
@@ -360,7 +372,7 @@ EXPERIMENTS = {
         "exceptional-point log-log series and exponent", _run_powerlaw,
         {"family": "pt", "a": None, "c": "0", "initial": "H,V", "t-min": "0.1",
          "t-max": "200", "points": "512", "window": "20,200"},
-        required=("a",), sweeps=True, check=_check_qubit_family,
+        required=("a",), sweeps=True, check=_check_powerlaw,
         grid=lambda v: np.geomspace(v["t-min"], v["t-max"], v["points"])),
     "embed": Experiment(
         "two-qubit dilation: D, entanglement entropy, mutual information", _run_embed,
@@ -460,17 +472,14 @@ def _plan(ns: argparse.Namespace) -> list:
                 values["spec"] = HamiltonianSpec(values["family"], values["a"], values["c"])
             except ValueError as exc:
                 violations.append(f"hamiltonian: {exc}")
-        violations += exp.check(values)
         if exp.grid and len(violations) == before:
-            values["grid"] = grid = exp.grid(values)
-            if not np.all(np.diff(grid) > 0):   # a series needs strictly increasing times
+            grid = exp.grid(values)
+            if np.all(np.diff(grid) > 0):   # a series needs strictly increasing times
+                values["grid"] = grid
+            else:
                 violations.append(f"times: {len(grid)} points from {grid[0]:g} to "
                                   f"{grid[-1]:g} do not strictly increase")
-            if "window" in values:   # the power-law fit's own rule, on the planned grid
-                try:
-                    window_mask(grid, values["window"])
-                except InvalidWindow as exc:
-                    violations.append(f"window: {exc}")
+        violations += exp.check(values)
         subs = {key: run.get(key, "") for key in _SWEEP_KEYS}
         subs["initial"] = subs["initial"].replace(",", "")
         try:

@@ -75,19 +75,36 @@ def _normalized_evolution(prop, rho, times):
     the exceptional point.  The survival probability is tested as a
     logarithm, with the propagator's e^{g} added back, which no amplified
     state overflows.  At the exceptional point a ket grows as t, and its
-    square would overflow past t ~ 1e154, so both kets are first scaled by
-    the one power of two 2^-e that brings their largest entry into
-    [1/2, 1); the scaling is exact, so the normalized entries do not move,
-    and e is added back in the logarithm too.
+    square overflows past t ~ 1e154; only then are the kets scaled, at each
+    time, by the one power of two 2^-e that brings their largest entry into
+    [1/2, 1), and squared again.  The scaling is exact, so the normalized
+    entries do not move, and e is added back in the logarithm too.
     """
     k = int(rho[1, 1].real > rho[0, 0].real)
     det = max((rho[0, 0] * rho[1, 1]).real - abs(rho[0, 1]) ** 2, 0.0)
     kets = [evolve_ket(prop, rho[:, k])]
     if det > 0:
         kets.append(evolve_ket(prop, ID2[1 - k]))
-    kets = np.array(kets)
-    e = np.frexp(np.abs(kets).max(axis=(0, 1)))[1]
-    (u0, u1), *mixed = kets * np.ldexp(1.0, -e)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        m00, m11, m01 = _unnormalized(kets, det)
+        tr = m00 + m11
+        log_g2 = 2 * prop[3]   # log |e^{g}|^2
+        if not tr.max(initial=0.0) < np.inf:   # an overflow; NaN takes this branch too
+            e = np.frexp(np.abs(kets).max(axis=(0, 1)))[1]
+            m00, m11, m01 = _unnormalized(np.array(kets) * np.ldexp(1.0, -e), det)
+            tr = m00 + m11
+            log_g2 = log_g2 + 2 * _LN2 * e
+        log_p = np.log(tr) + (log_g2 - np.log(rho[k, k].real))
+    if not log_p.min(initial=np.inf) >= _LOG_TRACE_FLOOR:   # NaN fails too
+        i = np.argmax(~(log_p >= _LOG_TRACE_FLOOR))
+        raise StateAnnihilated(f"log survival probability {log_p[i]:.6g} is below "
+                               f"log(TRACE_FLOOR) = {_LOG_TRACE_FLOOR:.6g} at t = {times[i]}")
+    return m00 / tr, m11 / tr, m01 / tr
+
+
+def _unnormalized(kets, det):
+    """(m00, m11, m01) of u u^dag + det v v^dag from kets = [u] or [u, v]."""
+    (u0, u1), *mixed = kets
     m00 = u0.real**2 + u0.imag**2
     m11 = u1.real**2 + u1.imag**2
     m01 = u0 * u1.conj()
@@ -95,14 +112,7 @@ def _normalized_evolution(prop, rho, times):
         m00 = m00 + det * (v0.real**2 + v0.imag**2)
         m11 = m11 + det * (v1.real**2 + v1.imag**2)
         m01 = m01 + det * (v0 * v1.conj())
-    tr = m00 + m11
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(tr) + (2 * (prop[3] + e * _LN2) - np.log(rho[k, k].real))
-    if not log_p.min(initial=np.inf) >= _LOG_TRACE_FLOOR:   # NaN fails too
-        i = np.argmax(~(log_p >= _LOG_TRACE_FLOOR))
-        raise StateAnnihilated(f"log survival probability {log_p[i]:.6g} is below "
-                               f"log(TRACE_FLOOR) = {_LOG_TRACE_FLOOR:.6g} at t = {times[i]}")
-    return m00 / tr, m11 / tr, m01 / tr
+    return m00, m11, m01
 
 
 def distinguishability_series(spec: HamiltonianSpec, rho1, rho2, times) -> TimeSeries:
