@@ -341,8 +341,8 @@ class Experiment:
     text (None: no default); a ``required`` entry ``x`` or ``x|y`` names keys
     of which one must be given; ``parsers`` replaces ``_PARSERS`` for keys read
     differently; ``grid`` builds a series run's time grid from its valid
-    values, stored as ``values["grid"]`` when strictly increasing; ``check``
-    then returns a run's violations and may fill values;
+    values before ``check``, which returns a run's violations and may fill
+    values;
     ``suffix`` ends the default output path out/<name>_{i}<suffix>."""
 
     help: str
@@ -473,10 +473,8 @@ def _plan(ns: argparse.Namespace) -> list:
             except ValueError as exc:
                 violations.append(f"hamiltonian: {exc}")
         if exp.grid and len(violations) == before:
-            grid = exp.grid(values)
-            if np.all(np.diff(grid) > 0):   # a series needs strictly increasing times
-                values["grid"] = grid
-            else:
+            values["grid"] = grid = exp.grid(values)
+            if not np.all(np.diff(grid) > 0):   # a series needs strictly increasing times
                 violations.append(f"times: {len(grid)} points from {grid[0]:g} to "
                                   f"{grid[-1]:g} do not strictly increase")
         violations += exp.check(values)
