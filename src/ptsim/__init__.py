@@ -26,31 +26,4 @@ from .qcore import (
     von_neumann_entropy,
 )
 
-__all__ = [
-    "Family",
-    "FitResult",
-    "HamiltonianSpec",
-    "Regime",
-    "TimeSeries",
-    "build_hamiltonian",
-    "classify_regime",
-    "distinguishability_series",
-    "dynamics",
-    "embedding",
-    "errors",
-    "evolve",
-    "fidelity",
-    "fit_power_law_exponent",
-    "fit_recurrence_time",
-    "fit_relaxation_time",
-    "mat_exp",
-    "models",
-    "optics",
-    "partial_trace",
-    "qcore",
-    "tomography",
-    "trace_distance",
-    "von_neumann_entropy",
-]
-
 __version__ = "0.1.0"

@@ -118,6 +118,15 @@ def _admit(convert, admitted, message: str):
     return parse
 
 
+def _pt_regime(a: float):
+    """Regime of the pt family at a, which scaling and embed run; _Invalid
+    when its w^2 overflows."""
+    try:
+        return classify_regime(HamiltonianSpec(Family.PT, a))
+    except ValueError as exc:
+        raise _Invalid(str(exc)) from None
+
+
 def _floats(raw: str) -> tuple:
     return tuple(float(x) for x in raw.split(","))
 
@@ -145,16 +154,13 @@ def _target_file(raw: str) -> np.ndarray:
 _positive_int = _admit(int, lambda n: n > 0, "cannot parse {raw!r}")
 _finite_nonnegative = _admit(float, lambda x: 0 <= x < np.inf,
                              "must be finite and >= 0, got {value}")
-# every family's w^2 holds a^2, which must not overflow
-_parameter_a = _admit(_finite_nonnegative, lambda a: a * a < np.inf,
-                      "its square overflows, got {value}")
 _finite_positive = _admit(float, lambda x: 0 < x < np.inf, "must be finite and > 0, got {value}")
 _VARIANTS = [v.value for v in optics.DecompositionVariant]
 
 _PARSERS = {
     "seed": _admit(int, lambda n: n >= 0, "must be an integer >= 0, got {raw!r}"),
     "family": lambda raw: Family(raw.lower()),
-    "a": _parameter_a,
+    "a": _finite_nonnegative,
     "c": float,
     "initial": _admit(_kets, lambda kets: len(kets[1]) == 2, "cannot parse {raw!r}"),
     "state": _admit(_kets, lambda kets: len(kets[1]) == 1, "cannot parse {raw!r}"),
@@ -214,15 +220,16 @@ def _run_distinguishability(v, seed, out):
             "initial": "|".join(labels), "seed": seed}
     write_csv(out, meta, ["t", "D"], zip(series.times, series.values))
     summary = f"family={spec.family.value} a={spec.a!r} initial={','.join(labels)}"
-    regime = classify_regime(spec.a)
-    kind = None if spec.family is Family.NO_SYMMETRY else regime.kind
-    if kind == "exceptional-point":
+    regime = classify_regime(spec)
+    if regime.kind == "exceptional-point":
         return f"{summary} no-recurrence (D(t) does not recur at the exceptional point) -> {out}"
+    if regime.kind == "broken":
+        summary += f" tau_theory={regime.timescale:.6g}"
     try:
         summary += f" T_fit={fit_recurrence_time(series).parameter:.6g}"
     except (NoOscillation, ValueError) as exc:
         return f"{summary} no-recurrence ({exc}) -> {out}"
-    if kind == "unbroken":
+    if regime.kind == "unbroken":
         summary += f" T_theory={regime.timescale:.6g}"
     return f"{summary} -> {out}"
 
@@ -236,9 +243,17 @@ def _check_scaling(v) -> list:
     if regime is None:
         return []
     v["a"] = v["a"] or _SCALING[regime]
-    kinds = {a: classify_regime(a).kind for a in v["a"]}
-    violations = [f"a: {a} is in the {kind} regime, not the {regime} one"
-                  for a, kind in kinds.items() if kind != regime]
+    violations = []
+    for a in v["a"]:
+        try:
+            kind = _pt_regime(a).kind
+        except _Invalid as exc:
+            violations.append(f"a: {exc}")
+            continue
+        if a == 0:
+            violations.append(f"a: {a} makes H Hermitian, so D(t) is constant and has no timescale")
+        elif kind != regime:
+            violations.append(f"a: {a} is in the {kind} regime, not the {regime} one")
     if regime == "unbroken" and points is not None and points < MIN_RECURRENCE_POINTS:
         violations.append(f"points: the recurrence fit needs >= {MIN_RECURRENCE_POINTS}, "
                           f"got {points}")
@@ -251,7 +266,7 @@ def _run_scaling(v, seed, out):
     rows = []
     for a in v["a"]:
         spec = HamiltonianSpec(Family.PT, a)
-        theory = classify_regime(a).timescale
+        theory = classify_regime(spec).timescale
         if regime == "unbroken":
             grid = default_time_grid(spec, points)
             fit = fit_recurrence_time(distinguishability_series(spec, rho1, rho2, grid))
@@ -366,7 +381,7 @@ EXPERIMENTS = {
     "scaling": Experiment(
         "recurrence or relaxation time versus a", _run_scaling,
         {"regime": "unbroken", "a": None, "initial": "H,V", "points": "512"},
-        parsers={"a": lambda raw: tuple(map(_parameter_a, raw.split(",")))},
+        parsers={"a": lambda raw: tuple(map(_finite_nonnegative, raw.split(",")))},
         check=_check_scaling),
     "powerlaw": Experiment(
         "exceptional-point log-log series and exponent", _run_powerlaw,
@@ -378,9 +393,9 @@ EXPERIMENTS = {
         "two-qubit dilation: D, entanglement entropy, mutual information", _run_embed,
         {"a": "0.5", "initial": "H,V", "t-max": None, "points": "256"},
         sweeps=True, parsers={"a": _admit(_finite_nonnegative,
-                                          lambda a: classify_regime(a).kind == "unbroken",
+                                          lambda a: _pt_regime(a).kind == "unbroken",
                                           "embedding needs the unbroken regime, got {value}")},
-        grid=lambda v: np.linspace(0.0, v["t-max"] or 2 * classify_regime(v["a"]).timescale,
+        grid=lambda v: np.linspace(0.0, v["t-max"] or 2 * _pt_regime(v["a"]).timescale,
                                    v["points"])),   # two recurrence periods by default
     "tomography": Experiment(
         "simulated photon counts and MLE reconstruction", _run_tomography,

@@ -135,14 +135,9 @@ def distinguishability_series(spec: HamiltonianSpec, rho1, rho2, times) -> TimeS
 
 def default_time_grid(spec: HamiltonianSpec, points: int = DEFAULT_POINTS) -> np.ndarray:
     """Sampling grid matched to the regime: four periods when unbroken, eight
-    relaxation times when broken, a logarithmic grid at the exceptional point.
-
-    The no-symmetry family decays without a closed-form timescale; a uniform
-    [0, 10] grid covers the regime probed here.
-    """
-    if spec.family.value == "nosym":
-        return np.linspace(0.0, 10.0, points)
-    regime = classify_regime(spec.a)
+    relaxation times when broken (as the no-symmetry family is at every a > 0
+    with c != 0), a logarithmic grid at the exceptional point."""
+    regime = classify_regime(spec)
     if regime.kind == "exceptional-point":
         return np.geomspace(0.1, 200.0, points)
     count = 4 if regime.kind == "unbroken" else 8   # periods T or relaxation times tau

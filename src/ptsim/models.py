@@ -1,13 +1,13 @@
 """Hamiltonian families of the PT-symmetric qubit, the metric operator
 certifying pseudo-Hermiticity, and the regime classifier."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DimMismatch, MetricUndefined, UnsupportedFamily
-from .qcore import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_matrix
+from .qcore import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_matrix, squared_frequency
 
 EP_TOL = 1e-12
 
@@ -25,12 +25,16 @@ class HamiltonianSpec:
     """Which Hamiltonian family is in play, with its parameters.
 
     ``a`` >= 0 controls non-Hermiticity; ``c`` is the real sigma_z
-    coefficient and is only meaningful for the no-symmetry family.
+    coefficient and is only meaningful for the no-symmetry family.  K = H -
+    (tr H/2) 1 is similar to sigma_x + (c + ia) sigma_z, c = 0 but for nosym
+    (embedded dilates pt), so ``w2`` = w^2 = 1 + (c + ia)^2; a spec whose w^2
+    overflows is refused.
     """
 
     family: Family
     a: float
     c: float = 0.0
+    w2: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
@@ -38,6 +42,11 @@ class HamiltonianSpec:
             raise ValueError(f"a must be finite and >= 0, got {self.a!r}")
         if not np.isfinite(self.c):
             raise ValueError(f"c must be finite, got {self.c!r}")
+        c = self.c if self.family is Family.NO_SYMMETRY else 0.0
+        w2 = squared_frequency(complex(c, self.a), 1.0, 1.0)
+        if not np.isfinite(w2):
+            raise ValueError(f"w^2 = 1 + (c + ia)^2 overflows at a = {self.a!r}, c = {c!r}")
+        object.__setattr__(self, "w2", w2)
 
 
 @dataclass(frozen=True)
@@ -70,10 +79,12 @@ def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
 
 
 def metric_eta(a: float) -> np.ndarray:
-    """Metric operator of the gain-loss family, positive definite when unbroken."""
-    if classify_regime(a).kind != "unbroken":
+    """Metric operator (1/w) [[1, -ia], [ia, 1]] of the gain-loss family,
+    positive definite when unbroken."""
+    spec = HamiltonianSpec(Family.PT, a)
+    if classify_regime(spec).kind != "unbroken":
         raise MetricUndefined(f"metric is singular at and beyond the exceptional point (a = {a})")
-    return (1.0 / np.sqrt((1.0 - a) * (1.0 + a))) * np.array([[1, -1j * a], [1j * a, 1]])
+    return (1.0 / np.sqrt(spec.w2.real)) * np.array([[1, -1j * a], [1j * a, 1]])
 
 
 def normalization_c(a: float) -> float:
@@ -83,21 +94,21 @@ def normalization_c(a: float) -> float:
     return float(2 * metric_eta(a)[0, 0].real)
 
 
-def classify_regime(a: float) -> Regime:
-    """Regime at a and its timescale; the one owner of the EP boundary.
+def classify_regime(spec: HamiltonianSpec) -> Regime:
+    """Regime of a spec and its timescale from its w^2; the one owner of the
+    EP boundary.
 
-    Unbroken for 1 - a > EP_TOL, where D(t) recurs with T = pi/sqrt(1 - a^2);
-    broken for a - 1 > EP_TOL, where it relaxes with tau = 1/(2 sqrt(a^2 - 1));
-    the exceptional point for |1 - a| <= EP_TOL = 1e-12, timescale inf.
+    The exceptional point for c = 0 and |1 - a| <= EP_TOL = 1e-12, timescale
+    inf; else unbroken for a real w^2 > 0, where D(t) recurs with T = pi/w,
+    and broken otherwise, where it relaxes with tau = 1/(2 |Im w|).
     """
-    if not np.isfinite(a) or a < 0:
-        raise ValueError(f"a must be finite and >= 0, got {a!r}")
-    eps = 1.0 - a
-    if eps > EP_TOL:   # 1 - a^2 as (1 - a)(1 + a), which does not cancel near the EP
-        return Regime("unbroken", eps, float(np.pi / np.sqrt(eps * (1 + a))))
-    if eps < -EP_TOL:
-        return Regime("broken", eps, float(1.0 / (2 * np.sqrt((a - 1) * (a + 1)))))
-    return Regime("exceptional-point", eps, np.inf)
+    eps = 1.0 - spec.a
+    if abs(eps) <= EP_TOL and spec.w2.imag == 0:   # Im w^2 = 2ac
+        return Regime("exceptional-point", eps, np.inf)
+    w = np.sqrt(spec.w2)
+    if spec.w2.imag == 0 and spec.w2.real > 0:
+        return Regime("unbroken", eps, float(np.pi / w.real))
+    return Regime("broken", eps, float(1.0 / (2 * abs(w.imag))))
 
 
 def check_pseudo_hermiticity(H, eta) -> float:

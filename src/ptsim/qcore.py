@@ -112,8 +112,9 @@ def _two_product(x: float, y: float):
     return p, ((x1 * y1 - p) + x1 * y2 + x2 * y1) + x2 * y2
 
 
-def _squared_frequency(k00: complex, k01: complex, k10: complex) -> complex:
-    """w^2 = k01 k10 + k00^2 of a traceless 2x2 K, rounded once.
+def squared_frequency(k00: complex, k01: complex, k10: complex) -> complex:
+    """w^2 = k01 k10 + k00^2 of a traceless 2x2 K, rounded once, and not
+    finite if it overflows; the propagator and every family's regime read it.
 
     Near an exceptional point w^2 cancels to O(epsilon) from O(1) products,
     so a product rounded before the sum leaves w a relative error of order
@@ -123,7 +124,10 @@ def _squared_frequency(k00: complex, k01: complex, k10: complex) -> complex:
     (p, q), (r, s), (x, y) = ((z.real, z.imag) for z in (k01, k10, k00))
     re = [*_two_product(p, r), *_two_product(-q, s), *_two_product(x, x), *_two_product(-y, y)]
     im = [*_two_product(p, s), *_two_product(q, r), *_two_product(2 * x, y)]
-    return complex(math.fsum(re), math.fsum(im))
+    try:   # fsum raises on inf - inf and on a partial sum past the largest double
+        return complex(math.fsum(re), math.fsum(im))
+    except (OverflowError, ValueError):
+        return complex(math.nan, math.nan)
 
 
 def propagator(H, times):
@@ -143,7 +147,7 @@ def propagator(H, times):
     shift = np.trace(H) / 2
     K = H - shift * ID2
     (k00, k01), (k10, _) = K.tolist()
-    w2 = _squared_frequency(k00, k01, k10)
+    w2 = squared_frequency(k00, k01, k10)
     if not cmath.isfinite(w2):
         raise InvalidMatrix(f"w^2 = k01 k10 + k00^2 of K = H - (tr H/2) 1 is {w2}, not finite")
     w = cmath.sqrt(w2)

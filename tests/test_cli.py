@@ -70,6 +70,19 @@ class TestDistinguishability:
         printed = capsys.readouterr().out
         assert "no-recurrence (D(t) does not recur at the exceptional point)" in printed
 
+    @pytest.mark.parametrize("argv, tau", [
+        (["--a", "1.25"], 2 / 3),
+        (["--family", "nosym", "--a", "0.5", "--c", "0.5"],
+         1 / (2 * np.sqrt(1 + (0.5 + 0.5j) ** 2).imag)),
+    ], ids=["broken", "nosym"])
+    def test_relaxing_runs_print_tau_theory(self, argv, tau, tmp_path, capsys):
+        # D(t) decays monotonically, so the line says no-recurrence and
+        # still carries the relaxation time
+        assert main(["distinguishability", *argv, "--out", str(tmp_path / "d.csv")]) == 0
+        printed = capsys.readouterr().out
+        assert "no-recurrence (" in printed and "T_theory" not in printed
+        assert float(printed.split("tau_theory=")[1].split()[0]) == pytest.approx(tau, rel=1e-5)
+
     def test_excursion_cut_by_the_window_still_fits(self, tmp_path, capsys):
         # D(0) sits just above the mid level, a one-sample excursion at t = 0
         code = main(["distinguishability", "--a", "0.87", "--initial", "H,L",
@@ -612,10 +625,18 @@ class TestFailureRecords:
                                    (["--t-min", "1e-300"], "(20, 200)", 2),
                                    (["--window", "200,20"], "(200, 20)", 0),
                                    (["--window", "nan,5"], "(nan, 5)", 0)]),
-        # every family's w^2 holds a^2
-        *(([*argv, "--a", "1e300"], 2, "a: its square overflows, got 1e+300")
-          for argv in (["powerlaw"], ["tomography"], ["compile", "--variant", "pt-simplified"],
-                       ["scaling", "--regime", "broken"])),
+        # the Hamiltonian refuses a spec whose w^2 = 1 + (c + ia)^2 overflows
+        *(([*argv, "--a", "1e300"], 2,
+           f"{key}: w^2 = 1 + (c + ia)^2 overflows at a = 1e+300, c = 0.0")
+          for argv, key in ((["powerlaw"], "hamiltonian"), (["tomography"], "hamiltonian"),
+                            (["compile", "--variant", "pt-simplified"], "hamiltonian"),
+                            (["scaling", "--regime", "broken"], "a"))),
+        (["distinguishability", "--family", "nosym", "--a", "0.5", "--c", "1e300"], 2,
+         "hamiltonian: w^2 = 1 + (c + ia)^2 overflows at a = 0.5, c = 1e+300"),
+        # at a = 0 H is Hermitian and D(t) constant, with no period to fit
+        *((["scaling", "--a", raw], 2,
+           f"a: {value} makes H Hermitian, so D(t) is constant and has no timescale")
+          for raw, value in [("0", "0.0"), ("-0", "-0.0"), ("0.5,0", "0.0")]),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
     def test_one_json_record(self, argv, code, says, tmp_path, capsys):
         eye3 = tmp_path / "eye3.csv"
@@ -628,6 +649,18 @@ class TestFailureRecords:
         record = json.loads(err)
         assert says in (record["violations"] if code == 2 else [record["message"]])
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["powerlaw", "--a", "1e300"], ["tomography", "--a", "1e300"],
+        ["compile", "--variant", "pt-simplified", "--a", "1e300"],
+        ["scaling", "--regime", "broken", "--a", "1e300"],
+        ["embed", "--a", "1e300"],
+        ["distinguishability", "--family", "nosym", "--a", "0.5", "--c", "1e300"],
+    ], ids=" ".join)
+    def test_overflowing_hamiltonian_is_one_violation(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        violations = json.loads(capsys.readouterr().err)["violations"]
+        assert len(violations) == 1 and "w^2 = 1 + (c + ia)^2 overflows" in violations[0]
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -21,7 +21,7 @@ from ptsim.dynamics import (
     fit_relaxation_time,
 )
 from ptsim.errors import InvalidWindow, NoOscillation, StateAnnihilated
-from ptsim.models import Family, HamiltonianSpec, build_hamiltonian
+from ptsim.models import Family, HamiltonianSpec, build_hamiltonian, classify_regime
 from ptsim.qcore import (
     KET_H,
     KET_V,
@@ -512,6 +512,19 @@ class TestRelaxationFit:
         fit = fit_relaxation_time(series, (8 * tau, 16 * tau))
         assert abs(fit.parameter / tau - 1) < 1e-4
 
+    @given(st.floats(0.1, 3.0), st.floats(0.1, 2.0),
+           st.sampled_from([("H", "V"), ("P+", "M"), ("H", "L")]))
+    def test_no_symmetry_relaxes_with_the_classified_tau(self, a, c, labels):
+        # without the symmetry there is no exceptional point: D relaxes with
+        # tau = 1/(2 |Im w|) at every a > 0, and the fit on (8 tau, 16 tau)
+        # reads it as closely as in the broken pt regime
+        spec = HamiltonianSpec(Family.NO_SYMMETRY, a, c)
+        tau = classify_regime(spec).timescale
+        rho1, rho2 = (pure_state(polarization_ket(label)) for label in labels)
+        series = distinguishability_series(spec, rho1, rho2, np.linspace(0.0, 17 * tau, 4001))
+        fit = fit_relaxation_time(series, (8 * tau, 16 * tau))
+        assert abs(fit.parameter / tau - 1) < 1e-4
+
     def test_rejects_nonpositive_values(self):
         series = TimeSeries(
             times=np.linspace(1, 10, 64),
@@ -587,5 +600,6 @@ class TestRegimeBehaviors:
         assert default_time_grid(pt(1.25))[-1] == pytest.approx(8 / (2 * np.sqrt(1.25**2 - 1)))
         ep = default_time_grid(pt(1.0))
         assert ep[0] == pytest.approx(0.1) and ep[-1] == pytest.approx(200.0)
+        # nosym relaxes with tau = 1/(2 |Im w|), w^2 = 1 + (c + ia)^2
         nosym = default_time_grid(HamiltonianSpec(Family.NO_SYMMETRY, 0.5, 0.5))
-        assert nosym[-1] == pytest.approx(10.0)
+        assert nosym[-1] == pytest.approx(8 / (2 * np.sqrt(1 + (0.5 + 0.5j) ** 2).imag))

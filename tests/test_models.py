@@ -17,6 +17,10 @@ from ptsim.models import (
 from ptsim.qcore import ID2, SIGMA_X
 
 
+def pt(a):
+    return HamiltonianSpec(Family.PT, a)
+
+
 class TestBuildHamiltonian:
     def test_hermitian_limit(self):
         np.testing.assert_allclose(
@@ -66,6 +70,19 @@ class TestBuildHamiltonian:
             HamiltonianSpec(Family.PT, -0.1)
         with pytest.raises(ValueError):
             HamiltonianSpec(Family.NO_SYMMETRY, 0.5, np.nan)
+
+    @pytest.mark.parametrize("family, a, c", [
+        (Family.PT, 1e300, 0.0), (Family.TIME_REVERSAL, 1e155, 0.0),
+        (Family.NO_SYMMETRY, 0.5, 1e300), (Family.NO_SYMMETRY, 1e200, 1e200),
+    ])
+    def test_spec_with_overflowing_squared_frequency_refused(self, family, a, c):
+        with pytest.raises(ValueError, match=r"w\^2 = 1 \+ \(c \+ ia\)\^2 overflows"):
+            HamiltonianSpec(family, a, c)
+
+    def test_c_is_ignored_outside_the_no_symmetry_family(self):
+        spec = HamiltonianSpec(Family.PT, 0.5, 1e300)
+        assert spec.w2 == 0.75
+        np.testing.assert_array_equal(build_hamiltonian(spec), build_hamiltonian(pt(0.5)))
 
 
 class TestMetric:
@@ -119,30 +136,56 @@ class TestNormalization:
 
 class TestRegime:
     def test_unbroken(self):
-        r = classify_regime(0.5)
+        r = classify_regime(pt(0.5))
         assert r.kind == "unbroken" and r.epsilon == pytest.approx(0.5)
 
     def test_exceptional_point(self):
-        assert classify_regime(1.0).kind == "exceptional-point"
-        assert classify_regime(1.0 + 1e-13).kind == "exceptional-point"
-        assert classify_regime(1.0 - 1e-13).kind == "exceptional-point"
+        assert classify_regime(pt(1.0)).kind == "exceptional-point"
+        assert classify_regime(pt(1.0 + 1e-13)).kind == "exceptional-point"
+        assert classify_regime(pt(1.0 - 1e-13)).kind == "exceptional-point"
 
     def test_broken(self):
-        r = classify_regime(1.25)
+        r = classify_regime(pt(1.25))
         assert r.kind == "broken" and r.epsilon == pytest.approx(-0.25)
 
     def test_timescale(self):
         # T = pi/sqrt(1 - a^2) unbroken, tau = 1/(2 sqrt(a^2 - 1)) broken
-        assert classify_regime(0.5).timescale == pytest.approx(2 * np.pi / np.sqrt(3), rel=1e-15)
-        assert classify_regime(1.25).timescale == pytest.approx(2 / 3, rel=1e-15)
+        assert classify_regime(pt(0.5)).timescale == pytest.approx(2 * np.pi / np.sqrt(3),
+                                                                   rel=1e-15)
+        assert classify_regime(pt(1.25)).timescale == pytest.approx(2 / 3, rel=1e-15)
         for a in (1.0, 1.0 - 1e-13, 1.0 + 1e-13):
-            assert classify_regime(a).timescale == np.inf
+            assert classify_regime(pt(a)).timescale == np.inf
 
     def test_deterministic_boundaries(self):
-        assert classify_regime(1.0 - 1e-9).kind == "unbroken"
-        assert classify_regime(1.0 + 1e-9).kind == "broken"
+        assert classify_regime(pt(1.0 - 1e-9)).kind == "unbroken"
+        assert classify_regime(pt(1.0 + 1e-9)).kind == "broken"
         with pytest.raises(ValueError):
-            classify_regime(-0.5)
+            classify_regime(pt(-0.5))
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1 - 1e-9, 1 - 1e-13, 1.0, 1 + 1e-13, 1 + 1e-9, 1.25])
+    def test_every_family_without_c_classifies_as_pt(self, a):
+        # passive-pt and t share pt's w^2 = 1 - a^2, and so does nosym at c = 0
+        for family in (Family.PASSIVE_PT, Family.TIME_REVERSAL, Family.NO_SYMMETRY,
+                       Family.EMBEDDED):
+            assert classify_regime(HamiltonianSpec(family, a)) == classify_regime(pt(a))
+
+    @pytest.mark.parametrize("c", [0.5, -0.5, 2.0, 1e-3])
+    def test_no_symmetry_at_a_zero_is_hermitian_and_unbroken(self, c):
+        r = classify_regime(HamiltonianSpec(Family.NO_SYMMETRY, 0.0, c))
+        assert r.kind == "unbroken"
+        assert r.timescale == pytest.approx(np.pi / np.sqrt(1 + c * c), rel=4.4e-16)
+
+    @pytest.mark.parametrize("a, c", [(0.5, 0.5), (0.8, 0.5), (0.5, 0.1), (1.0, 0.5), (2.0, 0.5),
+                                      (0.5, 2.0), (1.0, 1e-3), (1.0, 1e-8), (1.0 + 1e-13, 1e-3),
+                                      (0.999, -1e-6), (3.0, 0.1), (0.1, -2.0)])
+    def test_no_symmetry_relaxes_everywhere(self, a, c):
+        # w^2 = 1 + (c + ia)^2 has Im w^2 = 2ac != 0: no exceptional point,
+        # and tau = 1/(2 |Im w|) at every a > 0, against 50-digit mpmath
+        r = classify_regime(HamiltonianSpec(Family.NO_SYMMETRY, a, c))
+        with mpmath.workdps(50):
+            w = mpmath.sqrt(1 + (mpmath.mpf(c) + 1j * mpmath.mpf(a)) ** 2)
+            want = 1 / (2 * abs(mpmath.im(w)))
+            assert r.kind == "broken" and abs(r.timescale / want - 1) <= 4.4e-16
 
 
 # a = 1 +- {1, 3} 10^-k, k = 2..11: 1 - a^2 cancels to O(epsilon) near the EP
@@ -158,7 +201,7 @@ class TestClosedFormsNearTheExceptionalPoint:
         with mpmath.workdps(50):
             w2 = 1 - mpmath.mpf(a) ** 2
             want = mpmath.pi / mpmath.sqrt(w2) if a < 1 else 1 / (2 * mpmath.sqrt(-w2))
-            assert abs(classify_regime(a).timescale / want - 1) <= 4.4e-16
+            assert abs(classify_regime(pt(a)).timescale / want - 1) <= 4.4e-16
 
     @pytest.mark.parametrize("a", [a for a in _NEAR_EP if a < 1])
     def test_metric_and_normalization(self, a):

@@ -1,5 +1,7 @@
 """Linear-algebra kernel: exponentials, distances, entropies, partial traces."""
 
+import cmath
+
 import numpy as np
 import pytest
 from conftest import (
@@ -30,6 +32,7 @@ from ptsim.qcore import (
     polarization_ket,
     propagator,
     pure_state,
+    squared_frequency,
     trace_distance,
     von_neumann_entropy,
 )
@@ -160,6 +163,13 @@ class TestPropagator:
         # w^2 = 1 - a^2 overflows at a = 1e300, and no NaN may reach a caller
         with pytest.raises(InvalidMatrix, match="not finite"):
             propagator(SIGMA_X + 1e300j * SIGMA_Z, [1.0])
+
+    def test_overflowing_frequency_sum_refused(self):
+        # at z = (1 + i) 1e200 the exact halves of w^2 = 1 + z^2 hold both
+        # inf and -inf, whose sum fsum refuses; the propagator refuses H
+        assert not cmath.isfinite(squared_frequency(1e200 + 1e200j, 1.0, 1.0))
+        with pytest.raises(InvalidMatrix, match="not finite"):
+            propagator(SIGMA_X + (1e200 + 1e200j) * SIGMA_Z, [1.0])
 
     def test_two_by_two_only(self):
         with pytest.raises(InvalidMatrix, match=r"dimension 4 not in \(2,\)"):
