@@ -155,6 +155,12 @@ _positive_int = _admit(int, lambda n: n > 0, "cannot parse {raw!r}")
 _finite_nonnegative = _admit(float, lambda x: 0 <= x < np.inf,
                              "must be finite and >= 0, got {value}")
 _finite_positive = _admit(float, lambda x: 0 < x < np.inf, "must be finite and > 0, got {value}")
+# the one rule for embed's a and compile's embedded family: no dilation unless unbroken
+_dilation_a = _admit(_finite_nonnegative, lambda a: _pt_regime(a).kind == "unbroken",
+                     "embedding needs the unbroken regime, got {value}")
+_two_kets = _admit(_kets, lambda kets: len(kets[1]) == 2, "cannot parse {raw!r}")
+_distinct_kets = _admit(_two_kets, lambda kets: kets[1][0] != kets[1][1],
+                        "{raw} gives one state twice, so D(t) = 0 at every t: nothing to fit")
 _VARIANTS = [v.value for v in optics.DecompositionVariant]
 
 _PARSERS = {
@@ -162,7 +168,7 @@ _PARSERS = {
     "family": lambda raw: Family(raw.lower()),
     "a": _finite_nonnegative,
     "c": float,
-    "initial": _admit(_kets, lambda kets: len(kets[1]) == 2, "cannot parse {raw!r}"),
+    "initial": _two_kets,
     "state": _admit(_kets, lambda kets: len(kets[1]) == 1, "cannot parse {raw!r}"),
     "t": _finite_nonnegative,
     "t-min": _finite_positive,
@@ -179,8 +185,8 @@ _PARSERS = {
 }
 
 
-def _parse(key: str, raw: str, parser, violations: list):
-    """Value of one option's text, or None with its violation recorded."""
+def _parse(key: str, raw, parser, violations: list):
+    """Parsed text, or a value put through a rule; None with its violation recorded."""
     try:
         return parser(raw)
     except _Invalid as exc:
@@ -245,14 +251,10 @@ def _check_scaling(v) -> list:
     v["a"] = v["a"] or _SCALING[regime]
     violations = []
     for a in v["a"]:
-        try:
-            kind = _pt_regime(a).kind
-        except _Invalid as exc:
-            violations.append(f"a: {exc}")
-            continue
+        kind = _parse("a", a, lambda x: _pt_regime(x).kind, violations)
         if a == 0:
             violations.append(f"a: {a} makes H Hermitian, so D(t) is constant and has no timescale")
-        elif kind != regime:
+        elif kind not in (None, regime):   # None: w^2 overflows, already recorded
             violations.append(f"a: {a} is in the {kind} regime, not the {regime} one")
     if regime == "unbroken" and points is not None and points < MIN_RECURRENCE_POINTS:
         violations.append(f"points: the recurrence fit needs >= {MIN_RECURRENCE_POINTS}, "
@@ -323,22 +325,24 @@ def _run_tomography(v, seed, out):
 def _check_compile(v) -> list:
     """The variant fixes the target's dimension; the embedded family's is 4."""
     target, family, variant = v["target-file"], v["family"], v["variant"]
+    violations = []
+    if target is None and family is Family.EMBEDDED and "spec" in v:
+        _parse("a", v["a"], _dilation_a, violations)
     if variant is None or (target is None and None in (family, v["a"])):
-        return []
+        return violations
     shape = target.shape if target is not None else (4, 4) if family is Family.EMBEDDED else (2, 2)
     dim = 4 if variant == optics.DecompositionVariant.TWO_QUBIT else 2
-    if shape == (dim, dim):
-        return []
-    source = "the target file" if target is not None else f"family {family.value}"
-    return [f"variant: {variant} needs a {dim}x{dim} target; {source} gives shape {shape}"]
+    if shape != (dim, dim):
+        source = "the target file" if target is not None else f"family {family.value}"
+        violations.append(f"variant: {variant} needs a {dim}x{dim} target; {source} gives "
+                          f"shape {shape}")
+    return violations
 
 
 def _run_compile(v, seed, out):
     target, variant, restarts = v["target-file"], v["variant"], v["restarts"]
     if target is None:
-        embedded = v["family"] is Family.EMBEDDED
-        generator = embedding.build_h_tot(v["a"]) if embedded else build_hamiltonian(v["spec"])
-        target = mat_exp(generator, v["t"])
+        target = mat_exp(build_hamiltonian(v["spec"]), v["t"])
     if variant == optics.DecompositionVariant.TWO_QUBIT:
         sol = optics.compile_two_qubit(target, restarts=restarts, seed=seed)
     else:
@@ -381,20 +385,19 @@ EXPERIMENTS = {
     "scaling": Experiment(
         "recurrence or relaxation time versus a", _run_scaling,
         {"regime": "unbroken", "a": None, "initial": "H,V", "points": "512"},
-        parsers={"a": lambda raw: tuple(map(_finite_nonnegative, raw.split(",")))},
+        parsers={"a": lambda raw: tuple(map(_finite_nonnegative, raw.split(","))),
+                 "initial": _distinct_kets},
         check=_check_scaling),
     "powerlaw": Experiment(
         "exceptional-point log-log series and exponent", _run_powerlaw,
         {"family": "pt", "a": None, "c": "0", "initial": "H,V", "t-min": "0.1",
          "t-max": "200", "points": "512", "window": "20,200"},
-        required=("a",), sweeps=True, check=_check_powerlaw,
+        required=("a",), sweeps=True, parsers={"initial": _distinct_kets}, check=_check_powerlaw,
         grid=lambda v: np.geomspace(v["t-min"], v["t-max"], v["points"])),
     "embed": Experiment(
         "two-qubit dilation: D, entanglement entropy, mutual information", _run_embed,
         {"a": "0.5", "initial": "H,V", "t-max": None, "points": "256"},
-        sweeps=True, parsers={"a": _admit(_finite_nonnegative,
-                                          lambda a: _pt_regime(a).kind == "unbroken",
-                                          "embedding needs the unbroken regime, got {value}")},
+        sweeps=True, parsers={"a": _dilation_a},
         grid=lambda v: np.linspace(0.0, v["t-max"] or 2 * _pt_regime(v["a"]).timescale,
                                    v["points"])),   # two recurrence periods by default
     "tomography": Experiment(
@@ -482,9 +485,12 @@ def _plan(ns: argparse.Namespace) -> list:
             if not any(run.get(key) for key in keys):
                 violations.append(f"{name}: provide " + " or ".join(f"--{k}" for k in keys)
                                   if len(keys) > 1 else f"{entry}: required, no value given")
-        if "family" in values and None not in (values["family"], values["a"], values["c"]):
+        family, c = values.get("family"), values.get("c")
+        if c and family not in (None, Family.NO_SYMMETRY):   # -0.0 is falsy, so admitted
+            violations.append(f"c: family {family.value} takes no c (only nosym does), got {c}")
+        elif "family" in values and None not in (family, values["a"], c):
             try:
-                values["spec"] = HamiltonianSpec(values["family"], values["a"], values["c"])
+                values["spec"] = HamiltonianSpec(family, values["a"], c)
             except ValueError as exc:
                 violations.append(f"hamiltonian: {exc}")
         if exp.grid and len(violations) == before:

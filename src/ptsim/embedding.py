@@ -14,7 +14,7 @@ is the 4x4 unitary route that the tests check them against.
 import numpy as np
 
 from .errors import PostselectionImpossible
-from .models import Family, HamiltonianSpec, build_hamiltonian, metric_eta, normalization_c
+from .models import Family, HamiltonianSpec, build_hamiltonian, metric_eta
 from .qcore import (
     ENTROPY_CUTOFF,
     ID2,
@@ -32,13 +32,13 @@ from .dynamics import TimeSeries
 def build_h_tot(a: float) -> np.ndarray:
     """Hermitian two-qubit generator 1 (x) H_s + sigma_y (x) V_s.
 
-    H_s and V_s are built from the gain-loss Hamiltonian, its metric, and
-    the normalization c so that the |u>-block of the evolved state carries
-    exactly the non-unitary single-qubit dynamics.
+    H_s and V_s are built from the gain-loss Hamiltonian, its metric eta and
+    the normalization c = 2 eta_00 so that the |u>-block of the evolved
+    state carries exactly the non-unitary single-qubit dynamics.
     """
     H = build_hamiltonian(HamiltonianSpec(Family.PT, a))
     eta = metric_eta(a)
-    c = normalization_c(a)
+    c = float(2 * eta[0, 0].real)
     h_s = (H @ np.linalg.inv(eta) + eta @ H) / c
     v_s = 1j * (H - H.conj().T) / c
     h_tot = np.kron(ID2, h_s) + np.kron(SIGMA_Y, v_s)

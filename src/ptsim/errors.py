@@ -17,10 +17,6 @@ class DimMismatch(PTSimError):
     """Operands have incompatible dimensions."""
 
 
-class UnsupportedFamily(PTSimError):
-    """Hamiltonian family not handled by this constructor."""
-
-
 class UnsupportedDimension(PTSimError):
     """Requested Hilbert-space dimension is not supported."""
 

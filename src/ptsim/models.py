@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimMismatch, MetricUndefined, UnsupportedFamily
+from .errors import DimMismatch, MetricUndefined
 from .qcore import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_matrix, squared_frequency
 
 EP_TOL = 1e-12
@@ -52,17 +52,17 @@ class HamiltonianSpec:
 @dataclass(frozen=True)
 class Regime:
     kind: str            # "unbroken" | "exceptional-point" | "broken"
-    epsilon: float       # 1 - a
     timescale: float     # recurrence time T, relaxation time tau, inf at the EP
 
 
 def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
-    """2x2 Hamiltonian of the requested family.
+    """Generator of the requested family.
 
     pt:          sigma_x + i a sigma_z        (balanced gain and loss)
     passive-pt:  sigma_x + i a (sigma_z - 1)  (loss only; pt shifted by -ia)
     t:           sigma_x + i a sigma_y        (time-reversal symmetric)
     nosym:       sigma_x + (c + i a) sigma_z  (no protecting symmetry)
+    embedded:    4x4 dilation of pt, embedding.build_h_tot (unbroken a only)
     """
     fam = spec.family
     if fam is Family.PT:
@@ -73,9 +73,8 @@ def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
         return SIGMA_X + 1j * spec.a * SIGMA_Y
     if fam is Family.NO_SYMMETRY:
         return SIGMA_X + (spec.c + 1j * spec.a) * SIGMA_Z
-    raise UnsupportedFamily(
-        "the embedded family is a two-qubit construction; use ptsim.embedding"
-    )
+    from .embedding import build_h_tot   # embedding imports this module
+    return build_h_tot(spec.a)
 
 
 def metric_eta(a: float) -> np.ndarray:
@@ -102,13 +101,12 @@ def classify_regime(spec: HamiltonianSpec) -> Regime:
     inf; else unbroken for a real w^2 > 0, where D(t) recurs with T = pi/w,
     and broken otherwise, where it relaxes with tau = 1/(2 |Im w|).
     """
-    eps = 1.0 - spec.a
-    if abs(eps) <= EP_TOL and spec.w2.imag == 0:   # Im w^2 = 2ac
-        return Regime("exceptional-point", eps, np.inf)
+    if abs(1.0 - spec.a) <= EP_TOL and spec.w2.imag == 0:   # Im w^2 = 2ac
+        return Regime("exceptional-point", np.inf)
     w = np.sqrt(spec.w2)
     if spec.w2.imag == 0 and spec.w2.real > 0:
-        return Regime("unbroken", eps, float(np.pi / w.real))
-    return Regime("broken", eps, float(1.0 / (2 * abs(w.imag))))
+        return Regime("unbroken", float(np.pi / w.real))
+    return Regime("broken", float(1.0 / (2 * abs(w.imag))))
 
 
 def check_pseudo_hermiticity(H, eta) -> float:

