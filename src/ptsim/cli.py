@@ -127,6 +127,10 @@ def _pt_regime(a: float):
         raise _Invalid(str(exc)) from None
 
 
+def _family(raw: str) -> Family:
+    return Family(raw.lower())
+
+
 def _floats(raw: str) -> tuple:
     return tuple(float(x) for x in raw.split(","))
 
@@ -165,7 +169,9 @@ _VARIANTS = [v.value for v in optics.DecompositionVariant]
 
 _PARSERS = {
     "seed": _admit(int, lambda n: n >= 0, "must be an integer >= 0, got {raw!r}"),
-    "family": lambda raw: Family(raw.lower()),
+    # the qubit experiments evolve a 2x2 Hamiltonian; compile also takes the dilation
+    "family": _admit(_family, lambda f: f is not Family.EMBEDDED,
+                     "embedded is the two-qubit dilation; use embed or compile"),
     "a": _finite_nonnegative,
     "c": float,
     "initial": _two_kets,
@@ -200,23 +206,14 @@ def _spec_meta(spec: HamiltonianSpec) -> dict:
     return {"family": spec.family.value, "a": spec.a, "c": spec.c}
 
 
-def _check_qubit_family(v) -> list:
-    """The qubit experiments evolve a 2x2 Hamiltonian; the embedded family
-    is the 4x4 dilation, which embed and compile run."""
-    if v["family"] is Family.EMBEDDED:
-        return ["family: embedded is the two-qubit dilation; use embed or compile"]
-    return []
-
-
 def _check_powerlaw(v) -> list:
     """The exponent fit's window must hold enough points of the planned grid."""
-    violations = _check_qubit_family(v)
     if "grid" in v:
         try:
             window_mask(v["grid"], v["window"])
         except InvalidWindow as exc:
-            violations.append(f"window: {exc}")
-    return violations
+            return [f"window: {exc}"]
+    return []
 
 
 def _run_distinguishability(v, seed, out):
@@ -379,7 +376,7 @@ EXPERIMENTS = {
     "distinguishability": Experiment(
         "trace-distance series D(t)", _run_distinguishability,
         {"family": "pt", "a": None, "c": "0", "initial": "H,V", "t-max": None, "points": "512"},
-        required=("a",), sweeps=True, check=_check_qubit_family,
+        required=("a",), sweeps=True,
         grid=lambda v: (default_time_grid(v["spec"], v["points"]) if v["t-max"] is None
                         else np.linspace(0.0, v["t-max"], v["points"]))),
     "scaling": Experiment(
@@ -403,12 +400,13 @@ EXPERIMENTS = {
     "tomography": Experiment(
         "simulated photon counts and MLE reconstruction", _run_tomography,
         {"family": "pt", "a": None, "c": "0", "state": "H", "t": "1.0", "shots": "18000"},
-        required=("a",), check=_check_qubit_family),
+        required=("a",)),
     "compile": Experiment(
         "wave-plate angle synthesis for a target operator", _run_compile,
         {"variant": None, "target-file": None, "family": "passive-pt", "a": None,
          "c": "0", "t": "1.0", "restarts": "50"},
-        required=("variant", "target-file|a"), check=_check_compile, suffix=".txt"),
+        required=("variant", "target-file|a"), parsers={"family": _family},
+        check=_check_compile, suffix=".txt"),
 }
 
 
@@ -494,8 +492,10 @@ def _plan(ns: argparse.Namespace) -> list:
             except ValueError as exc:
                 violations.append(f"hamiltonian: {exc}")
         if exp.grid and len(violations) == before:
-            values["grid"] = grid = exp.grid(values)
-            if not np.all(np.diff(grid) > 0):   # a series needs strictly increasing times
+            grid = exp.grid(values)
+            if np.all(np.diff(grid) > 0):   # a series needs strictly increasing times
+                values["grid"] = grid
+            else:
                 violations.append(f"times: {len(grid)} points from {grid[0]:g} to "
                                   f"{grid[-1]:g} do not strictly increase")
         violations += exp.check(values)

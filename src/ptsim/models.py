@@ -86,13 +86,6 @@ def metric_eta(a: float) -> np.ndarray:
     return (1.0 / np.sqrt(spec.w2.real)) * np.array([[1, -1j * a], [1j * a, 1]])
 
 
-def normalization_c(a: float) -> float:
-    """Dilation normalization: the metric's eigenvalues are (1 +- a)/sqrt(1 - a^2),
-    so their reciprocals sum to 2/sqrt(1 - a^2) = 2 eta_00, which diverges
-    as a -> 1."""
-    return float(2 * metric_eta(a)[0, 0].real)
-
-
 def classify_regime(spec: HamiltonianSpec) -> Regime:
     """Regime of a spec and its timescale from its w^2; the one owner of the
     EP boundary.

@@ -16,7 +16,8 @@ displacers.  Several variants constrain subsets of the twelve mount angles:
                     with G2's delta75 and delta86 held at pi/4
 
 Each variant is one chain: an ordered product of the Jones elements below,
-whose arguments are free angles or fixed affine functions of them.  Every
+whose arguments are fixed angles or affine functions of the free angles the
+chain names, listed in the order light meets them.  Every
 entry of an element is a + b sin 2alpha + c cos 2alpha in each of its angles
 alpha, so the shift rule dF/dalpha = F(alpha + pi/4) - F(alpha - pi/4) is
 exact, and the product rule over prefix and suffix products of the chain
@@ -55,30 +56,9 @@ class DecompositionVariant(str, Enum):
     TWO_QUBIT = "two-qubit"
 
 
-_FREE_ANGLES = {
-    DecompositionVariant.FULL12: (
-        "phi1", "theta1", "phi2",
-        "phi3", "phi4", "theta_V", "phi5", "phi6", "theta_H",
-        "phi7", "theta2", "phi8",
-    ),
-    DecompositionVariant.SYMMETRIC5: (
-        "phi1", "theta1", "theta_H", "theta_V", "phi7", "theta2", "phi8",
-    ),
-    DecompositionVariant.PT_SIMPLIFIED: ("theta2", "theta_H", "theta_V"),
-    DecompositionVariant.TWO_QUBIT: tuple(
-        [f"phi{j}" for j in range(1, 7)]
-        + [f"theta{j}" for j in range(1, 7)]
-        + [f"nu{j}" for j in range(1, 7)]
-        + ["delta41", "delta85"]
-    ),
-}
 # mount angles a chain holds fixed, listed in its records after the free ones
-_HELD_ANGLES = {DecompositionVariant.TWO_QUBIT: {"delta75": np.pi / 4, "delta86": np.pi / 4}}
-
-
-def free_angle_names(variant: DecompositionVariant) -> tuple:
-    """Ordered free-parameter names of a decomposition variant."""
-    return _FREE_ANGLES[DecompositionVariant(variant)]
+_G2_HELD = {"delta75": np.pi / 4, "delta86": np.pi / 4}
+_HELD_ANGLES = {DecompositionVariant.TWO_QUBIT: _G2_HELD}
 
 
 @dataclass
@@ -180,9 +160,9 @@ def _layer(k):
                  for pair, name in ((_QWP_PAIR, "nu"), (_HWP_PAIR, "theta"), (_QWP_PAIR, "phi")))
 
 
-# Each chain lists its factors left to right; a factor is a Jones element and
-# its arguments, each a free angle's name, a (name, scale, offset) tuple for
-# scale * angle + offset, or a fixed angle.
+# Each chain lists its factors left to right (light meets them right to left);
+# a factor is a Jones element and its arguments, each a free angle's name, a
+# (name, scale, offset) tuple for scale * angle + offset, or a fixed angle.
 _CHAIN_SPECS = {
     DecompositionVariant.FULL12: (
         (qwp, "phi8"), (hwp, "theta2"), (qwp, "phi7"),
@@ -202,7 +182,7 @@ _CHAIN_SPECS = {
         (hwp, ("theta2", 1.0, np.pi / 4)), (qwp, 0.0),
     ),
     DecompositionVariant.TWO_QUBIT: (
-        _layer(3) + ((build_g2, np.pi / 4, "delta85", np.pi / 4),)
+        _layer(3) + ((build_g2, _G2_HELD["delta75"], "delta85", _G2_HELD["delta86"]),)
         + _layer(2) + ((build_g1, "delta41"),) + _layer(1)
     ),
 }
@@ -210,7 +190,8 @@ _CHAIN_SPECS = {
 
 @dataclass(frozen=True)
 class _Chain:
-    """A chain compiled to one call per distinct element.  The call of
+    """A chain compiled to one call per distinct element.  ``names`` are its
+    free angles in the order light meets them, the order of x.  The call of
     ``element`` takes the arguments ``scale * x[index] + offset``, one row of
     (index, scale, offset) per matrix it returns: each factor once as it
     stands and, by the shift rule, once per free argument shifted by +pi/4
@@ -218,14 +199,17 @@ class _Chain:
     in chain order, ``owner`` the factor of each row, and ``weights`` (free
     angles x rows) sum the rows' product-rule terms into the Jacobian."""
 
+    names: tuple
     calls: tuple
     values: np.ndarray
     owner: np.ndarray
     weights: np.ndarray
 
 
-def _build_chain(variant, spec) -> _Chain:
-    names = _FREE_ANGLES[variant]
+def _build_chain(spec) -> _Chain:
+    # factors right to left, each name where it first appears
+    names = tuple(dict.fromkeys(a if isinstance(a, str) else a[0] for _, *args in reversed(spec)
+                                for a in args if isinstance(a, (str, tuple))))
     calls = {}            # element -> its rows of (index, scale, offset)
     rows, values = [], []  # (element, position in calls[element], factor)
     terms = []            # (angle, weight, row) of the shift rule
@@ -250,12 +234,17 @@ def _build_chain(variant, spec) -> _Chain:
     weights = np.zeros((len(names), len(rows)))
     for j, w, row in terms:
         weights[j, order[row]] += w
-    return _Chain(
-        tuple((element, *(np.array(col) for col in zip(*c))) for element, c in calls.items()),
-        np.array([order[row] for row in values]), owner, weights)
+    return _Chain(names, tuple((element, *(np.array(col) for col in zip(*c)))
+                               for element, c in calls.items()),
+                  np.array([order[row] for row in values]), owner, weights)
 
 
-_CHAINS = {variant: _build_chain(variant, spec) for variant, spec in _CHAIN_SPECS.items()}
+_CHAINS = {variant: _build_chain(spec) for variant, spec in _CHAIN_SPECS.items()}
+
+
+def free_angle_names(variant: DecompositionVariant) -> tuple:
+    """Free angles of a decomposition variant in the order light meets them."""
+    return _CHAINS[DecompositionVariant(variant)].names
 
 
 def _factor_rows(chain: _Chain, x) -> np.ndarray:
@@ -362,7 +351,7 @@ def _checked_target(target, dim: int) -> np.ndarray:
 def _compile(target, variant, restarts, seed, success_residual):
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    names = _FREE_ANGLES[variant]
+    names = _CHAINS[variant].names
     n = len(names)
     # one child at a time: the children of SeedSequence(seed).spawn(restarts),
     # without spawning (about 5 us each) those a success leaves unused
@@ -398,7 +387,7 @@ def realize_single(variant, angles: dict) -> np.ndarray:
     variant = DecompositionVariant(variant)
     if variant is DecompositionVariant.TWO_QUBIT:
         raise ValueError("use realize_two_qubit for the two-qubit variant")
-    return _realize(variant, np.array([angles[n] for n in _FREE_ANGLES[variant]], dtype=float))
+    return _realize(variant, np.array([angles[n] for n in _CHAINS[variant].names], dtype=float))
 
 
 def realize_two_qubit(angles: dict) -> np.ndarray:
@@ -408,7 +397,7 @@ def realize_two_qubit(angles: dict) -> np.ndarray:
         if angles.get(name, held) != held:
             raise ValueError(
                 f"{name} = {angles[name]!r}, but the two-qubit circuit holds it at pi/4")
-    return _realize(variant, np.array([angles[n] for n in _FREE_ANGLES[variant]], dtype=float))
+    return _realize(variant, np.array([angles[n] for n in _CHAINS[variant].names], dtype=float))
 
 
 def compile_single_qubit(

@@ -661,7 +661,7 @@ class TestFailureRecords:
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         record = json.loads(err)
-        assert says in (record["violations"] if code == 2 else [record["message"]])
+        assert (record["violations"] if code == 2 else [record["message"]]) == [says]
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("argv, says", [

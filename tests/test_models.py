@@ -13,13 +13,17 @@ from ptsim.models import (
     check_pseudo_hermiticity,
     classify_regime,
     metric_eta,
-    normalization_c,
 )
 from ptsim.qcore import ID2, SIGMA_X, SIGMA_Y
 
 
 def pt(a):
     return HamiltonianSpec(Family.PT, a)
+
+
+def dilation_c(a):
+    """The dilation normalization c = 2 eta_00 that build_h_tot reads."""
+    return 2 * metric_eta(a)[0, 0].real
 
 
 class TestBuildHamiltonian:
@@ -129,27 +133,27 @@ class TestNormalization:
     def test_dilation_assembled_from_metric_and_normalization(self, a):
         # pin: build_h_tot is (H eta^-1 + eta H)/c and i(H - H^dag)/c, bit for bit
         H = build_hamiltonian(pt(a))
-        eta, c = metric_eta(a), normalization_c(a)
+        eta, c = metric_eta(a), dilation_c(a)
         h_s = (H @ np.linalg.inv(eta) + eta @ H) / c
         v_s = 1j * (H - H.conj().T) / c
         h_tot = np.kron(ID2, h_s) + np.kron(SIGMA_Y, v_s)
         np.testing.assert_array_equal(build_h_tot(a), (h_tot + h_tot.conj().T) / 2)
 
     def test_trivial(self):
-        assert normalization_c(0.0) == pytest.approx(2.0, abs=1e-12)
+        assert dilation_c(0.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_half(self):
-        assert normalization_c(0.5) == pytest.approx(2 / np.sqrt(0.75), abs=1e-12)
-        assert normalization_c(0.5) == pytest.approx(2.3094, abs=5e-5)
+        assert dilation_c(0.5) == pytest.approx(2 / np.sqrt(0.75), abs=1e-12)
+        assert dilation_c(0.5) == pytest.approx(2.3094, abs=5e-5)
 
     def test_divergence_toward_ep(self):
-        assert normalization_c(0.99) == pytest.approx(2 / np.sqrt(1 - 0.99**2), abs=1e-10)
-        assert normalization_c(0.99) == pytest.approx(14.1779, abs=5e-4)
-        assert normalization_c(0.999) > normalization_c(0.99) > normalization_c(0.9)
+        assert dilation_c(0.99) == pytest.approx(2 / np.sqrt(1 - 0.99**2), abs=1e-10)
+        assert dilation_c(0.99) == pytest.approx(14.1779, abs=5e-4)
+        assert dilation_c(0.999) > dilation_c(0.99) > dilation_c(0.9)
 
     def test_undefined(self):
         with pytest.raises(MetricUndefined):
-            normalization_c(1.0)
+            dilation_c(1.0)
 
 
 class TestRegime:
@@ -226,7 +230,7 @@ class TestClosedFormsNearTheExceptionalPoint:
         with mpmath.workdps(50):
             scale = 1 / mpmath.sqrt(1 - mpmath.mpf(a) ** 2)
             assert abs(metric_eta(a)[0, 0].real / scale - 1) <= 4.4e-16
-            assert abs(normalization_c(a) / (2 * scale) - 1) <= 4.4e-16
+            assert abs(dilation_c(a) / (2 * scale) - 1) <= 4.4e-16
 
 
 class TestPseudoHermiticity:

@@ -143,6 +143,33 @@ class TestRealizeSingle:
 
 
 class TestChains:
+    @pytest.mark.parametrize("variant, names", [
+        (FULL, ("phi1", "theta1", "phi2", "phi3", "phi4", "theta_V", "phi5", "phi6", "theta_H",
+                "phi7", "theta2", "phi8")),
+        (SYM, ("phi1", "theta1", "theta_H", "theta_V", "phi7", "theta2", "phi8")),
+        (PTS, ("theta2", "theta_H", "theta_V")),
+        (TWO, ("phi1", "phi2", "theta1", "theta2", "nu1", "nu2", "delta41",
+               "phi3", "phi4", "theta3", "theta4", "nu3", "nu4", "delta85",
+               "phi5", "phi6", "theta5", "theta6", "nu5", "nu6")),
+    ], ids=lambda x: x.value if isinstance(x, DecompositionVariant) else "")
+    def test_free_angles_in_the_order_light_meets_them(self, variant, names):
+        assert free_angle_names(variant) == names
+
+    @pytest.mark.parametrize("variant", list(DecompositionVariant))
+    def test_each_free_angle_listed_once_and_read(self, variant):
+        # a listed name the circuit never reads would be a free angle with a
+        # zero Jacobian column; one it reads but does not list a KeyError
+        names, read = free_angle_names(variant), set()
+
+        class Recording(dict):
+            def __getitem__(self, name):
+                read.add(name)
+                return super().__getitem__(name)
+
+        written_out(variant, Recording(angles_of(variant, np.zeros(len(names)))))
+        assert len(set(names)) == len(names)
+        assert read == set(names)
+
     @pytest.mark.parametrize("variant", list(DecompositionVariant))
     def test_product_is_realized_matrix(self, variant):
         rng = np.random.default_rng(21)
