@@ -36,9 +36,6 @@ class TimeSeries:
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.values))):
             raise ValueError("times and values must be finite")
 
-    def __len__(self):
-        return len(self.times)
-
 
 @dataclass
 class FitResult:
@@ -249,6 +246,8 @@ def fit_relaxation_time(series: TimeSeries, window) -> FitResult:
     """
     t, y = _window_slice(series, window, log_time=False)
     slope, slope_err, rms = _line_fit(t, np.log(y))
+    if not slope < 0:
+        raise InvalidWindow(f"log D has slope {slope:g} inside the window; a relaxation needs < 0")
     return FitResult(-1.0 / slope, abs(slope_err / slope**2), (float(t[0]), float(t[-1])), rms)
 
 

@@ -1,9 +1,10 @@
-"""Hermitian two-qubit dilation of the PT-symmetric qubit.
+"""State of the Hermitian two-qubit dilation of the PT-symmetric qubit.
 
 An ancilla qubit encoded in two spatial modes {|u>, |d>} extends the
-non-Hermitian dynamics to a unitary evolution on four modes; post-selecting
-the ancilla on |u> recovers the non-unitary qubit evolution exactly.  Basis
-ordering is ancilla (x) system: |u,H>, |u,V>, |d,H>, |d,V>.
+non-Hermitian dynamics to a unitary evolution on four modes, generated by
+``models.build_h_tot``; post-selecting the ancilla on |u> recovers the
+non-unitary qubit evolution exactly.  Basis ordering is ancilla (x) system:
+|u,H>, |u,V>, |d,H>, |d,V>.
 
 The evolved dilation state is fixed by the qubit state (Guenther and
 Samsonov, PRL 101, 230404 (2008)), so the entropy and mutual information
@@ -14,35 +15,9 @@ is the 4x4 unitary route that the tests check them against.
 import numpy as np
 
 from .errors import PostselectionImpossible
-from .models import Family, HamiltonianSpec, build_hamiltonian, metric_eta
-from .qcore import (
-    ENTROPY_CUTOFF,
-    ID2,
-    SIGMA_Y,
-    as_density_matrix,
-    evolve_ket,
-    mat_exp,
-    normalized,
-    propagator,
-    pure_state,
-)
+from .models import Family, HamiltonianSpec, build_h_tot, build_hamiltonian, metric_eta
+from .qcore import ENTROPY_CUTOFF, as_density_matrix, evolve_ket, mat_exp, propagator, pure_state
 from .dynamics import TimeSeries
-
-
-def build_h_tot(a: float) -> np.ndarray:
-    """Hermitian two-qubit generator 1 (x) H_s + sigma_y (x) V_s.
-
-    H_s and V_s are built from the gain-loss Hamiltonian, its metric eta and
-    the normalization c = 2 eta_00 so that the |u>-block of the evolved
-    state carries exactly the non-unitary single-qubit dynamics.
-    """
-    H = build_hamiltonian(HamiltonianSpec(Family.PT, a))
-    eta = metric_eta(a)
-    c = float(2 * eta[0, 0].real)
-    h_s = (H @ np.linalg.inv(eta) + eta @ H) / c
-    v_s = 1j * (H - H.conj().T) / c
-    h_tot = np.kron(ID2, h_s) + np.kron(SIGMA_Y, v_s)
-    return (h_tot + h_tot.conj().T) / 2
 
 
 def embed_initial(chi, a: float) -> np.ndarray:
@@ -53,7 +28,7 @@ def embed_initial(chi, a: float) -> np.ndarray:
     if abs(np.linalg.norm(chi) - 1.0) > 1e-10:
         raise ValueError("chi must be normalized")
     psi = np.concatenate([chi, metric_eta(a) @ chi])
-    return normalized(psi)
+    return psi / np.linalg.norm(psi)
 
 
 def evolve_embedded(a: float, psi0, t: float) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Hamiltonian families of the PT-symmetric qubit, the metric operator
-certifying pseudo-Hermiticity, and the regime classifier."""
+"""Hamiltonian families of the PT-symmetric qubit, the Hermitian generator
+of its two-qubit dilation, the metric operator certifying
+pseudo-Hermiticity, and the regime classifier."""
 
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,7 +63,7 @@ def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     passive-pt:  sigma_x + i a (sigma_z - 1)  (loss only; pt shifted by -ia)
     t:           sigma_x + i a sigma_y        (time-reversal symmetric)
     nosym:       sigma_x + (c + i a) sigma_z  (no protecting symmetry)
-    embedded:    4x4 dilation of pt, embedding.build_h_tot (unbroken a only)
+    embedded:    4x4 dilation of pt, build_h_tot (unbroken a only)
     """
     fam = spec.family
     if fam is Family.PT:
@@ -73,7 +74,6 @@ def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
         return SIGMA_X + 1j * spec.a * SIGMA_Y
     if fam is Family.NO_SYMMETRY:
         return SIGMA_X + (spec.c + 1j * spec.a) * SIGMA_Z
-    from .embedding import build_h_tot   # embedding imports this module
     return build_h_tot(spec.a)
 
 
@@ -84,6 +84,22 @@ def metric_eta(a: float) -> np.ndarray:
     if classify_regime(spec).kind != "unbroken":
         raise MetricUndefined(f"metric is singular at and beyond the exceptional point (a = {a})")
     return (1.0 / np.sqrt(spec.w2.real)) * np.array([[1, -1j * a], [1j * a, 1]])
+
+
+def build_h_tot(a: float) -> np.ndarray:
+    """Hermitian two-qubit generator 1 (x) H_s + sigma_y (x) V_s.
+
+    H_s and V_s are built from the gain-loss Hamiltonian, its metric eta and
+    the normalization c = 2 eta_00 so that the |u>-block of the evolved
+    state carries exactly the non-unitary single-qubit dynamics.
+    """
+    H = build_hamiltonian(HamiltonianSpec(Family.PT, a))
+    eta = metric_eta(a)
+    c = float(2 * eta[0, 0].real)
+    h_s = (H @ np.linalg.inv(eta) + eta @ H) / c
+    v_s = 1j * (H - H.conj().T) / c
+    h_tot = np.kron(ID2, h_s) + np.kron(SIGMA_Y, v_s)
+    return (h_tot + h_tot.conj().T) / 2
 
 
 def classify_regime(spec: HamiltonianSpec) -> Regime:

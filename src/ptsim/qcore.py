@@ -91,14 +91,6 @@ def pure_state(ket) -> np.ndarray:
     return np.outer(v, v.conj()) / n2
 
 
-def normalized(ket) -> np.ndarray:
-    v = np.asarray(ket, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise InvalidMatrix("cannot normalize a zero vector")
-    return v / n
-
-
 def _two_product(x: float, y: float):
     """(p, e) with p = fl(x y) and p + e = x y exactly: Dekker's TwoProduct
     on Veltkamp's split of each factor into two 26-bit halves (Numer. Math.

@@ -49,6 +49,8 @@ class CountRecord:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.shots < 1:
+            raise ValueError(f"shots must be >= 1, got {self.shots}")
         if not 0 <= self.counts <= self.shots:
             raise ValueError(f"counts {self.counts} outside [0, shots={self.shots}]")
 

@@ -604,6 +604,12 @@ class TestFailureRecords:
          "variant: full12 needs a 2x2 target; family embedded gives shape (4, 4)"),
         (["compile", "--variant", "full12", "--target-file", "EYE3"], 2,
          "variant: full12 needs a 2x2 target; the target file gives shape (3, 3)"),
+        # config files: unreadable, a key given twice, another experiment
+        (["run", "--config", "MISSING"], 2,
+         "config: cannot read MISSING: [Errno 2] No such file or directory: 'MISSING'"),
+        (["run", "--config", "DUPLICATE"], 2, "config line 3: duplicate key 'a'"),
+        (["distinguishability", "--config", "EMBED"], 2,
+         "experiment: config says 'embed' but the subcommand is 'distinguishability'"),
         # tau = 2/3: the fit window (4 tau, 12 tau) holds 2 of the 4 samples
         (["scaling", "--regime", "broken", "--a", "1.25", "--points", "4"], 1,
          "window (2.66667, 8) holds 2 points; need >= 3"),
@@ -653,10 +659,13 @@ class TestFailureRecords:
           for raw, value in [("0", "0.0"), ("-0", "-0.0"), ("0.5,0", "0.0")]),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
     def test_one_json_record(self, argv, code, says, tmp_path, capsys):
-        eye3 = tmp_path / "eye3.csv"
-        eye3.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        inputs = {"EYE3": "1,0,0\n0,1,0\n0,0,1\n", "EMBED": "experiment = embed\n",
+                  "DUPLICATE": "a = 0.5\nexperiment = embed\na = 0.6\n"}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
         out = tmp_path / "out" / "x.csv"
-        argv = [str(eye3) if arg == "EYE3" else arg for arg in argv]
+        argv = [str(tmp_path / arg) if arg in {*inputs, "MISSING"} else arg for arg in argv]
+        says = says.replace("MISSING", str(tmp_path / "MISSING"))
         assert main([*argv, "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.splitlines()) == 1

@@ -136,6 +136,8 @@ class TestDistinguishabilitySeries:
             TimeSeries(times=np.array([0.0, 0.0, 1.0]), values=np.zeros(3))
         with pytest.raises(ValueError):
             TimeSeries(times=np.array([0.0, 1.0]), values=np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="equal length"):
+            TimeSeries(times=[0.0, 1.0], values=[1.0])
 
 
 _families = st.sampled_from([Family.PT, Family.PASSIVE_PT, Family.TIME_REVERSAL,
@@ -532,6 +534,14 @@ class TestRelaxationFit:
         )
         with pytest.raises(InvalidWindow):
             fit_relaxation_time(series, (1.0, 10.0))
+
+    @pytest.mark.parametrize("rate, slope", [(0.0, "0"), (0.1, "0.1")], ids=["constant", "growing"])
+    def test_rejects_a_series_that_does_not_decay(self, rate, slope):
+        # a flat log D has no decay constant, and a rising one would read as
+        # a negative tau = -1/rate
+        t = np.linspace(0.0, 10.0, 50)
+        with pytest.raises(InvalidWindow, match=f"^log D has slope {slope} inside the window"):
+            fit_relaxation_time(TimeSeries(t, np.exp(rate * t)), (1.0, 9.0))
 
     def test_rejects_empty_window(self):
         series = hv_series(pt(1.25), 8.0, 128)

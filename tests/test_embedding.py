@@ -1,5 +1,7 @@
 """Two-qubit dilation: construction, post-selection, entanglement measures."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -77,6 +79,16 @@ class TestEmbedInitial:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             embed_initial(np.array([1.0, 1.0]), 0.5)
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda: embed_initial(np.ones(3) / np.sqrt(3), 0.5), "(3,)"),
+    (lambda: evolve_embedded(0.5, KET_H, 0.1), "(2,)"),
+    (lambda: postselect_pt(np.ones(5)), "(5,)"),
+], ids=["embed_initial", "evolve_embedded", "postselect_pt"])
+def test_wrong_length_refused_naming_the_shape(call, shape):
+    with pytest.raises(ValueError, match=f"got (shape )?{re.escape(shape)}$"):
+        call()
 
 
 class TestEvolveEmbedded:

@@ -4,11 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from ptsim.embedding import build_h_tot
+from ptsim import embedding
 from ptsim.errors import DimMismatch, MetricUndefined
 from ptsim.models import (
     Family,
     HamiltonianSpec,
+    build_h_tot,
     build_hamiltonian,
     check_pseudo_hermiticity,
     classify_regime,
@@ -58,6 +59,9 @@ class TestBuildHamiltonian:
         got = build_hamiltonian(HamiltonianSpec(Family.EMBEDDED, a))
         assert got.shape == (4, 4)
         np.testing.assert_array_equal(got, build_h_tot(a))
+
+    def test_embedding_evolves_by_the_models_generator(self):
+        assert embedding.build_h_tot is build_h_tot
 
     @pytest.mark.parametrize("a", [1 - 1e-13, 1.0, 1.5])
     def test_embedded_has_no_dilation_outside_the_unbroken_regime(self, a):

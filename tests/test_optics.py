@@ -378,6 +378,15 @@ class TestInputChecks:
             with pytest.raises(ValueError, match="restarts must be >= 1"):
                 compile_target(restarts)
 
+    @pytest.mark.parametrize("call, says", [
+        (lambda: compile_single_qubit(np.eye(3), FULL), r"^expected a 2x2 target, got \(3, 3\)$"),
+        (lambda: compile_single_qubit(np.eye(2), TWO), "^use compile_two_qubit for the two-qubit"),
+        (lambda: realize_single(TWO, {}), "^use realize_two_qubit for the two-qubit"),
+    ], ids=["3x3 target", "compile two-qubit", "realize two-qubit"])
+    def test_single_qubit_refuses_what_it_cannot_realize(self, call, says):
+        with pytest.raises(ValueError, match=says):
+            call()
+
 
 class TestSolutionRecord:
     @pytest.mark.parametrize("compile_target", [

@@ -95,6 +95,8 @@ class TestMatExp:
             mat_exp(np.array([[np.nan, 0], [0, 1]]), 1.0)
         with pytest.raises(InvalidMatrix):
             mat_exp(np.eye(3), 1.0)
+        with pytest.raises(InvalidMatrix, match="expected a square matrix"):
+            mat_exp(np.ones((2, 3)), 1.0)
         with pytest.raises(InvalidMatrix):
             mat_exp(SIGMA_X, np.inf)
         with pytest.raises(InvalidMatrix, match="times must be finite"):
@@ -356,6 +358,14 @@ class TestFidelityAndKets:
             assert fidelity(pure_state(u), pure_state(v)) == pytest.approx(
                 abs(np.vdot(u, v)) ** 2, abs=1e-10
             )
+
+    def test_fidelity_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            fidelity(pure_state(KET_H), np.eye(4) / 4)
+
+    def test_pure_state_of_zero_vector(self):
+        with pytest.raises(InvalidMatrix, match="zero vector"):
+            pure_state(np.zeros(2))
 
     def test_polarization_labels(self):
         np.testing.assert_allclose(polarization_ket("H"), KET_H)

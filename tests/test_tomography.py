@@ -119,6 +119,12 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             CountRecord("H", counts=11, shots=10)
 
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_record_without_shots_refused(self, shots):
+        # a record with no shots has no frequency for linear inversion or MLE
+        with pytest.raises(ValueError, match=f"^shots must be >= 1, got {shots}$"):
+            CountRecord("H", 0, shots)
+
 
 class TestLinearInversion:
     def test_noiseless_h_state(self):
