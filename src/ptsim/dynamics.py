@@ -50,7 +50,10 @@ def evolve(spec: HamiltonianSpec, rho0, t: float) -> np.ndarray:
 
     rho(t) = U rho0 U^dag / Tr[U rho0 U^dag] with U = e^{-iHt}.  The trace
     normalization cancels any multiple of the identity added to H, so the
-    balanced and passive PT families produce identical states.
+    balanced and passive PT families produce identical states until the
+    survival probability Tr[U rho0 U^dag] falls below TRACE_FLOOR = 1e-300.
+    passive-pt's carries an extra e^{-2at}, which takes it there past about
+    t = 345/a: passive-pt raises StateAnnihilated where pt may still run.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t!r}")

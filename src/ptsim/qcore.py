@@ -66,7 +66,8 @@ def as_density_matrix(mat) -> np.ndarray:
 
     The input must be Hermitian within 1e-10 (max entry of M - M^dag), have
     unit trace within 1e-10, and eigenvalues >= -1e-10.  Roundoff from
-    arithmetic is absorbed by returning (M + M^dag)/2.
+    arithmetic is absorbed by returning (M + M^dag)/2.  A 2x2's smaller
+    eigenvalue is taken in closed form, (a + d)/2 - hypot((a - d)/2, |b|).
     """
     m = check_matrix(mat)
     herm_defect = np.abs(m - m.conj().T).max()
@@ -76,7 +77,11 @@ def as_density_matrix(mat) -> np.ndarray:
     tr = np.trace(m).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidDensityMatrix(f"trace {tr!r} is not 1")
-    lo = np.linalg.eigvalsh(m).min()
+    if len(m) == 2:
+        (a, b), (_, d) = m.tolist()
+        lo = (a.real + d.real) / 2 - math.hypot((a.real - d.real) / 2, abs(b))
+    else:
+        lo = np.linalg.eigvalsh(m).min()
     if lo < EIGENVALUE_FLOOR:
         raise InvalidDensityMatrix(f"negative eigenvalue {lo:.3e}")
     return m

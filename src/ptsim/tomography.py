@@ -78,16 +78,26 @@ def standard_bases(dim: int) -> list:
     return [MeasurementBasis(lbl, np.outer(k, k.conj())) for lbl, k in kets.items()]
 
 
+def _projectors(bases) -> np.ndarray:
+    """The bases' projectors as one (n, d, d) stack; DimMismatch names the
+    first basis whose projector's shape differs from the first one's."""
+    projs = [b.projector for b in bases]
+    for b, proj in zip(bases, projs):
+        if proj.shape != projs[0].shape:
+            raise DimMismatch(f"basis {b.label!r} has shape {proj.shape}, "
+                              f"basis {bases[0].label!r} {projs[0].shape}")
+    return np.stack(projs)
+
+
 def born_probabilities(rho, bases) -> np.ndarray:
     """Tr[rho Pi_b] for each basis, clipped into [0, 1]."""
     r = np.asarray(rho, dtype=complex)
-    for b in bases:
-        if b.projector.shape != r.shape:
-            raise DimMismatch(
-                f"basis {b.label!r} has shape {b.projector.shape}, state {r.shape}"
-            )
-    p = np.array([np.trace(r @ b.projector).real for b in bases])
-    return np.clip(p, 0.0, 1.0)
+    if len(bases) == 0:
+        return np.zeros(0)
+    projs = _projectors(bases)
+    if projs.shape[1:] != r.shape:
+        raise DimMismatch(f"basis {bases[0].label!r} has shape {projs.shape[1:]}, state {r.shape}")
+    return np.clip(np.trace(r @ projs, axis1=1, axis2=2).real, 0.0, 1.0)
 
 
 def simulate_counts(probs, shots: int, seed: int, labels=None) -> list:
@@ -95,10 +105,14 @@ def simulate_counts(probs, shots: int, seed: int, labels=None) -> list:
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p = np.asarray(probs, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"probabilities must be 1-D, got shape {p.shape}")
     if np.any((p < 0) | (p > 1)):
         raise ValueError("probabilities must lie in [0, 1]")
     if labels is None:
         labels = [str(i) for i in range(len(p))]
+    elif len(labels) != len(p):
+        raise DimMismatch(f"{len(labels)} labels for {len(p)} probabilities")
     rng = np.random.default_rng(seed)
     counts = rng.binomial(shots, p)
     return [
@@ -144,7 +158,7 @@ def _check_complete(design: np.ndarray, dim: int):
 
 
 def _linear_inversion(freqs, bases) -> np.ndarray:
-    projs = np.stack([b.projector for b in bases])
+    projs = _projectors(bases)
     dim = projs.shape[-1]
     design = _design_matrix(projs)
     _check_complete(design, dim)
@@ -216,8 +230,18 @@ def _factor(rho, basis) -> np.ndarray:
     return theta / np.linalg.norm(theta)
 
 
+def _quadratic_forms(ops, basis) -> np.ndarray:
+    """K[o, k, l] = Re Tr[O_o E_k E_l^dag], so that theta^T K[o] theta =
+    Tr[O_o T T^dag] for T = sum_k theta_k E_k."""
+    # O E_k for every outcome O and basis element E_k, one row (i j) each
+    op_basis = np.tensordot(ops, basis, axes=([2], [1])).transpose(0, 2, 1, 3)
+    flat = basis.reshape(len(basis), -1)
+    forms = (op_basis.reshape(-1, flat.shape[1]) @ flat.conj().T).real
+    return forms.reshape(len(ops), len(basis), -1)
+
+
 def _mle(freqs, weights, bases, max_iter, tol, full_output):
-    projs = np.stack([b.projector for b in bases])
+    projs = _projectors(bases)
     dim = projs.shape[-1]
     _check_complete(_design_matrix(projs), dim)
     f = np.asarray(freqs, dtype=float)
@@ -236,8 +260,7 @@ def _mle(freqs, weights, bases, max_iter, tol, full_output):
     # quadratic forms theta^T K theta / theta^T theta, and as the weights sum
     # to 1, L(theta) = sum weight log(theta^T K theta) - log(theta^T theta)
     basis = _factor_basis(dim)
-    flat = basis.reshape(len(basis), -1)
-    forms = ((ops[:, None] @ basis).reshape(len(ops), len(basis), -1) @ flat.conj().T).real
+    forms = _quadratic_forms(ops, basis)
 
     def density(theta):
         t = np.tensordot(theta, basis, axes=1)
@@ -250,8 +273,8 @@ def _mle(freqs, weights, bases, max_iter, tol, full_output):
     for it in range(max_iter + 1):
         # R is the likelihood gradient in rho, with Tr[R rho] = 1; concavity
         # gives L* - L <= lambda_max(R) - 1
-        evals, evecs = np.linalg.eigh(((weight / p) @ ops_flat).reshape(dim, dim))
-        gap = float(evals[-1] - 1)
+        grad_rho = ((weight / p) @ ops_flat).reshape(dim, dim)
+        gap = float(np.linalg.eigvalsh(grad_rho)[-1] - 1)
         if gap <= tol:
             break
         if it == max_iter:
@@ -262,7 +285,8 @@ def _mle(freqs, weights, bases, max_iter, tol, full_output):
             # no Newton ascent: the factor sits at a stationary point that
             # the certificate rejects, or is flat there within roundoff; move
             # rho toward R's top eigenvector, then factor again
-            step = _ascent_step(density(theta), evecs[:, -1], p, weight, ops)
+            top = np.linalg.eigh(grad_rho)[1][:, -1]
+            step = _ascent_step(density(theta), top, p, weight, ops)
             if step is None:
                 raise MleFailed(f"no step raises the likelihood; gap {gap:.3e} > tol {tol:.3e}")
             rho, gain = step
@@ -290,7 +314,7 @@ def _newton_step(theta, kt, p, weight, forms):
     hess = 2 * (c @ forms.reshape(len(c), -1)).reshape(len(theta), -1)
     hess -= 4 * (kt.T * (c / p)) @ kt
     hess += np.outer(3 * theta + grad, theta) + np.outer(theta, grad)
-    hess[np.diag_indices_from(hess)] -= 2
+    hess.flat[::len(theta) + 1] -= 2
     # theta itself gets eigenvalue -1, and g has no component along it
     lam, u = np.linalg.eigh(hess)
     delta = u @ (u.T @ grad / np.maximum(np.abs(lam), 1e-12 * np.abs(lam).max()))

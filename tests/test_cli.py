@@ -673,6 +673,22 @@ class TestFailureRecords:
         assert (record["violations"] if code == 2 else [record["message"]]) == [says]
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("family, a, code, error", [
+        ("passive-pt", "0.9994", 1, "StateAnnihilated"),
+        ("passive-pt", "0.9993", 0, None),
+        ("pt", "0.9995", 0, None),
+    ])
+    def test_passive_pt_stops_where_its_survival_leaves_the_floor(self, family, a, code, error,
+                                                                  tmp_path, capsys):
+        # passive-pt's survival is pt's times e^{-2at}, below TRACE_FLOOR =
+        # 1e-300 past t ~ 345/a: the default four periods reach that from
+        # a ~ 0.9994 (at 0.9993 they end at t = 335.9); pt's has no e^{-2at}
+        out = tmp_path / "out" / "x.csv"
+        assert main(["distinguishability", "--family", family, "--a", a, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert (json.loads(err)["error"] if err else None) == error
+        assert out.exists() == (code == 0)
+
     @pytest.mark.parametrize("argv, says", [
         # the dilation exists only in the unbroken regime; these runs passed
         # planning and exited 1 with MetricUndefined

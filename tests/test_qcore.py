@@ -12,12 +12,13 @@ from conftest import (
     random_unitary,
     taylor_expm_oracle,
 )
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ptsim.errors import DimMismatch, InvalidDensityMatrix, InvalidMatrix
 from ptsim.models import Family, HamiltonianSpec, build_hamiltonian
 from ptsim.qcore import (
+    EIGENVALUE_FLOOR,
     ID2,
     KET_H,
     KET_V,
@@ -344,6 +345,42 @@ class TestDensityValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(InvalidDensityMatrix, match="eigenvalue"):
             as_density_matrix(np.diag([1.2, -0.2]))
+
+    @staticmethod
+    def _rotated(theta, phi, lam):
+        """Unit-trace Hermitian 2x2 with eigenvalues 1 - lam and lam."""
+        u = np.array([[np.cos(theta), -np.exp(-1j * phi) * np.sin(theta)],
+                      [np.exp(1j * phi) * np.sin(theta), np.cos(theta)]])
+        return (u * [1 - lam, lam]) @ u.conj().T
+
+    @staticmethod
+    def _admitted(rho):
+        try:
+            as_density_matrix(rho)
+        except InvalidDensityMatrix as exc:
+            assert "negative eigenvalue" in str(exc)
+            return False
+        return True
+
+    @given(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi), st.floats(-3e-10, 1e-10))
+    def test_two_by_two_floor_near_the_boundary_agrees_with_eigvalsh(self, theta, phi, lam):
+        # a 2x2's smaller eigenvalue is taken in closed form
+        rho = self._rotated(theta, phi, lam)
+        lo = np.linalg.eigvalsh(rho).min()
+        assume(abs(lo - EIGENVALUE_FLOOR) > 1e-15)
+        assert self._admitted(rho) == (lo >= EIGENVALUE_FLOOR)
+
+    @given(st.floats(-0.5, 1.5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    def test_two_by_two_floor_agrees_with_eigvalsh(self, a, re_b, im_b):
+        rho = np.array([[a, re_b + 1j * im_b], [re_b - 1j * im_b, 1 - a]])
+        lo = np.linalg.eigvalsh(rho).min()
+        assume(abs(lo - EIGENVALUE_FLOOR) > 1e-15)
+        assert self._admitted(rho) == (lo >= EIGENVALUE_FLOOR)
+
+    @pytest.mark.parametrize("lam, admitted", [(-0.9e-10, True), (-1.1e-10, False)])
+    def test_two_by_two_floor_at_the_boundary(self, lam, admitted):
+        for theta, phi in [(0.0, 0.0), (0.3, 1.1), (np.pi / 4, 2.5), (1.2, 4.0)]:
+            assert self._admitted(self._rotated(theta, phi, lam)) is admitted
 
 
 class TestFidelityAndKets:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import qubit_mle_oracle, random_pure
+from conftest import qubit_mle_oracle, random_density, random_pure
 
 from ptsim import embedding, tomography
 from ptsim.dynamics import evolve
@@ -86,6 +86,23 @@ class TestBornProbabilities:
         with pytest.raises(DimMismatch):
             born_probabilities(np.eye(4) / 4, BASES2)
 
+    def test_no_bases_no_probabilities(self):
+        probs = born_probabilities(ID2 / 2, [])
+        assert probs.shape == (0,) and probs.dtype == float
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_equals_the_trace_per_basis(self, dim):
+        # the stacked product sums each trace as Tr[rho Pi] alone does
+        rng = np.random.default_rng(dim)
+        random_bases = [MeasurementBasis(str(i), pure_state(random_pure(rng, dim)))
+                        for i in range(dim * dim)]
+        for bases in (standard_bases(dim), random_bases):
+            for _ in range(50):
+                rho = random_density(rng, dim)
+                per_basis = [np.trace(rho @ b.projector).real for b in bases]
+                np.testing.assert_array_equal(born_probabilities(rho, bases),
+                                              np.clip(per_basis, 0.0, 1.0))
+
 
 class TestSimulateCounts:
     def test_certain_outcomes(self):
@@ -118,6 +135,20 @@ class TestSimulateCounts:
             simulate_counts([1.5], 10, seed=1)
         with pytest.raises(ValueError):
             CountRecord("H", counts=11, shots=10)
+
+    def test_labels_must_match_the_probabilities(self):
+        # a short label list used to truncate the records without a word
+        with pytest.raises(DimMismatch, match="^1 labels for 3 probabilities$"):
+            simulate_counts([0.5, 0.5, 0.2], 10, 1, labels=["H"])
+        with pytest.raises(DimMismatch, match="^3 labels for 2 probabilities$"):
+            simulate_counts([0.5, 0.5], 10, 1, labels=["H", "V", "P+"])
+
+    @pytest.mark.parametrize("probs, shape", [([[0.5, 0.5], [0.2, 0.8]], r"\(2, 2\)"),
+                                              (0.5, r"\(\)")])
+    def test_probabilities_must_be_one_dimensional(self, probs, shape):
+        # a 2-D array used to end in numpy's raw TypeError
+        with pytest.raises(ValueError, match=f"^probabilities must be 1-D, got shape {shape}$"):
+            simulate_counts(probs, 10, 1)
 
     @pytest.mark.parametrize("shots", [0, -5])
     def test_record_without_shots_refused(self, shots):
@@ -180,6 +211,13 @@ class TestPairing:
         with pytest.raises(DimMismatch, match="3 count records for 4 bases"):
             reconstruct(records[:3], BASES2)
 
+    @pytest.mark.parametrize("reconstruct", [mle_reconstruct, linear_inversion])
+    def test_bases_of_mixed_dimension_rejected(self, reconstruct):
+        bases = [*BASES2[:3], BASES4[0]]
+        records = [CountRecord(b.label, 500, 1000) for b in bases]
+        with pytest.raises(DimMismatch, match=r"^basis 'u:H' has shape \(4, 4\), basis 'H' \(2, 2\)$"):
+            reconstruct(records, bases)
+
     @pytest.mark.parametrize("reconstruct", [mle_from_probabilities,
                                              linear_inversion_from_probabilities])
     def test_probability_count_must_match(self, reconstruct):
@@ -240,6 +278,24 @@ class TestMle:
     def test_incomplete_bases_rejected(self):
         with pytest.raises(NotInformationallyComplete):
             mle_from_probabilities([1.0, 0.0], BASES2[:2])
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_quadratic_forms(self, dim):
+        # K[o, k, l] = Re Tr[O E_k E_l^dag] for projectors and complements,
+        # so theta^T K[o] theta = Tr[O T T^dag]
+        rng = np.random.default_rng(dim)
+        basis = tomography._factor_basis(dim)
+        random_projs = [pure_state(random_pure(rng, dim)) for _ in range(dim * dim)]
+        for projs in (np.stack([b.projector for b in standard_bases(dim)]), np.stack(random_projs)):
+            ops = np.concatenate([projs, np.eye(dim) - projs])
+            forms = tomography._quadratic_forms(ops, basis)
+            explicit = np.einsum("oij,kjm,lim->okl", ops, basis, basis.conj()).real
+            np.testing.assert_allclose(forms, explicit, rtol=0, atol=1e-15)
+            theta = rng.normal(size=len(basis))
+            t = np.tensordot(theta, basis, axes=1)
+            np.testing.assert_allclose(forms @ theta @ theta,
+                                       np.trace(ops @ t @ t.conj().T, axis1=1, axis2=2).real,
+                                       rtol=0, atol=1e-12)
 
 
 def criterion9_records(seeds):
