@@ -155,14 +155,15 @@ def _target_file(raw: str) -> np.ndarray:
         raise _Invalid(str(exc)) from exc
 
 
-_positive_int = _admit(int, lambda n: n > 0, "cannot parse {raw!r}")
+_positive_int = _admit(int, lambda n: n > 0, "must be an integer > 0, got {raw!r}")
 _finite_nonnegative = _admit(float, lambda x: 0 <= x < np.inf,
                              "must be finite and >= 0, got {value}")
 _finite_positive = _admit(float, lambda x: 0 < x < np.inf, "must be finite and > 0, got {value}")
 # the one rule for embed's a and compile's embedded family: no dilation unless unbroken
 _dilation_a = _admit(_finite_nonnegative, lambda a: _pt_regime(a).kind == "unbroken",
                      "embedding needs the unbroken regime, got {value}")
-_two_kets = _admit(_kets, lambda kets: len(kets[1]) == 2, "cannot parse {raw!r}")
+_two_kets = _admit(_kets, lambda kets: len(kets[1]) == 2,
+                   "expected two comma-separated states, got {raw!r}")
 _distinct_kets = _admit(_two_kets, lambda kets: kets[1][0] != kets[1][1],
                         "{raw} gives one state twice, so D(t) = 0 at every t: nothing to fit")
 _VARIANTS = [v.value for v in optics.DecompositionVariant]
@@ -175,7 +176,7 @@ _PARSERS = {
     "a": _finite_nonnegative,
     "c": float,
     "initial": _two_kets,
-    "state": _admit(_kets, lambda kets: len(kets[1]) == 1, "cannot parse {raw!r}"),
+    "state": _admit(_kets, lambda kets: len(kets[1]) == 1, "expected one state, got {raw!r}"),
     "t": _finite_nonnegative,
     "t-min": _finite_positive,
     "t-max": _finite_positive,

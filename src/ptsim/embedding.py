@@ -59,8 +59,8 @@ def entanglement_entropy_series(a: float, chi, times) -> TimeSeries:
     Gram matrix of the blocks (phi, psi = eta phi).  Its determinant is
     |phi_0 psi_1 - phi_1 psi_0|^2 (Lagrange's identity), never negative, so
     its smaller eigenvalue is lambda = 2 det/(1 + sqrt(1 - 4 det)) after
-    normalization, and the larger 1 - lambda.  As in ``von_neumann_entropy``,
-    an eigenvalue at or below ENTROPY_CUTOFF contributes nothing.
+    normalization, and the larger 1 - lambda.  An eigenvalue at or below
+    ENTROPY_CUTOFF = 1e-12 contributes nothing.
     """
     ts = np.asarray(times, dtype=float)
     prop = propagator(build_hamiltonian(HamiltonianSpec(Family.PT, a)), ts)

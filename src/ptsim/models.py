@@ -7,8 +7,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimMismatch, MetricUndefined
-from .qcore import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_matrix, squared_frequency
+from .errors import MetricUndefined
+from .qcore import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, squared_frequency
 
 EP_TOL = 1e-12
 
@@ -116,12 +116,3 @@ def classify_regime(spec: HamiltonianSpec) -> Regime:
     if spec.w2.imag == 0 and spec.w2.real > 0:
         return Regime("unbroken", float(np.pi / w.real))
     return Regime("broken", float(1.0 / (2 * abs(w.imag))))
-
-
-def check_pseudo_hermiticity(H, eta) -> float:
-    """Max-entry residual of eta H - H^dag eta; <= 1e-10 certifies it."""
-    Hm = check_matrix(H)
-    em = check_matrix(eta)
-    if Hm.shape != em.shape:
-        raise DimMismatch(f"shape {Hm.shape} vs {em.shape}")
-    return float(np.abs(em @ Hm - Hm.conj().T @ em).max())

@@ -39,7 +39,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -240,11 +239,6 @@ def _build_chain(spec) -> _Chain:
 
 
 _CHAINS = {variant: _build_chain(spec) for variant, spec in _CHAIN_SPECS.items()}
-
-
-def free_angle_names(variant: DecompositionVariant) -> tuple:
-    """Free angles of a decomposition variant in the order light meets them."""
-    return _CHAINS[DecompositionVariant(variant)].names
 
 
 def _factor_rows(chain: _Chain, x) -> np.ndarray:

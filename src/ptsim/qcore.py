@@ -1,7 +1,7 @@
 """Complex linear algebra kernel: the 2x2 propagator's coefficients over a
 time grid (exact at exceptional points) and the ket evolution they give,
-e^{-iHt} of a 2x2 or a Hermitian 4x4, and trace distance, entropies and
-partial traces of one matrix or a stack (..., d, d).
+e^{-iHt} of a 2x2 or a Hermitian 4x4, and the trace distance of one
+matrix or a stack (..., d, d).
 
 All operators are plain complex ndarrays of dimension 2 or 4 (hbar = 1
 throughout).  Density matrices are validated ndarrays; ``as_density_matrix``
@@ -203,38 +203,6 @@ def trace_distance(rho1, rho2):
     d = (d + d.conj().swapaxes(-1, -2)) / 2
     val = np.clip(0.5 * np.abs(np.linalg.eigvalsh(d)).sum(axis=-1), 0.0, 1.0)
     return float(val) if val.ndim == 0 else val
-
-
-def von_neumann_entropy(rho):
-    """Entropy -sum lambda log2 lambda over eigenvalues above 1e-12.
-
-    Base-2 logarithm, so a maximally mixed qubit has entropy exactly 1.
-    Eigenvalues in [-1e-10, 0] are clipped to zero; anything more negative
-    is rejected as unphysical.  Stacks (..., d, d) give an array.
-    """
-    w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    if w.min(initial=0.0) < EIGENVALUE_FLOOR:
-        raise InvalidDensityMatrix(f"negative eigenvalue {w.min():.3e}")
-    w = np.where(w > ENTROPY_CUTOFF, w, 1.0)   # 1 log 1 = 0
-    val = -np.sum(w * np.log2(w), axis=-1)
-    return float(val) if val.ndim == 0 else val
-
-
-def partial_trace(rho, keep: str) -> np.ndarray:
-    """Reduce a two-qubit operator, or a stack (..., 4, 4), over one factor.
-
-    Tensor ordering is ancilla (x) system: basis |u,H>, |u,V>, |d,H>, |d,V>.
-    ``keep`` selects the surviving factor, "system" or "ancilla".
-    """
-    r = np.asarray(rho, dtype=complex)
-    if r.shape[-2:] != (4, 4):
-        raise DimMismatch(f"partial trace needs a 4x4 matrix, got {r.shape}")
-    blocks = r.reshape(r.shape[:-2] + (2, 2, 2, 2))
-    if keep == "system":
-        return np.einsum("...asat->...st", blocks)
-    if keep == "ancilla":
-        return np.einsum("...asbs->...ab", blocks)
-    raise ValueError(f"keep must be 'system' or 'ancilla', got {keep!r}")
 
 
 def fidelity(rho, sigma) -> float:

@@ -176,15 +176,11 @@ def _linear_inversion(freqs, bases) -> np.ndarray:
     return rho
 
 
-def _check_count(values, bases, what: str):
-    if len(values) != len(bases):
-        raise DimMismatch(f"{len(values)} {what} for {len(bases)} bases")
-
-
 def _frequencies_and_shots(records, bases) -> tuple:
     """Frequencies and shots of records paired with the bases by position;
     DimMismatch names the count or the first label that does not match."""
-    _check_count(records, bases, "count records")
+    if len(records) != len(bases):
+        raise DimMismatch(f"{len(records)} count records for {len(bases)} bases")
     for i, (r, b) in enumerate(zip(records, bases)):
         if r.basis_label != b.label:
             raise DimMismatch(f"record {i} counts basis {r.basis_label!r}, "
@@ -196,12 +192,6 @@ def linear_inversion(records, bases) -> np.ndarray:
     """Least-squares state estimate from counts; Hermitian and unit trace by
     construction but possibly non-positive under noise (flagged via warning)."""
     return _linear_inversion(_frequencies_and_shots(records, bases)[0], bases)
-
-
-def linear_inversion_from_probabilities(probs, bases) -> np.ndarray:
-    """Linear inversion with exact probabilities in place of frequencies."""
-    _check_count(probs, bases, "probabilities")
-    return _linear_inversion(probs, bases)
 
 
 @functools.cache
@@ -371,11 +361,3 @@ def mle_reconstruct(records, bases, max_iter: int = MLE_MAX_ITER,
     "iterations": steps, "gap": final gap}.  Records pair with bases by position.
     """
     return _mle(*_frequencies_and_shots(records, bases), bases, max_iter, tol, full_output)
-
-
-def mle_from_probabilities(probs, bases, max_iter: int = MLE_MAX_ITER,
-                           tol: float = MLE_TOL, full_output: bool = False):
-    """Maximum likelihood in the infinite-shot limit: exact probabilities
-    stand in for observed frequencies, with equal weight per basis."""
-    _check_count(probs, bases, "probabilities")
-    return _mle(probs, np.ones(len(bases)), bases, max_iter, tol, full_output)

@@ -93,6 +93,22 @@ def random_unitary(rng, dim: int = 2) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def partial_trace_oracle(rho, keep: str) -> np.ndarray:
+    """Reduced state of a two-qubit operator, or a stack (..., 4, 4), ordered
+    ancilla (x) system; ``keep`` is "system" or "ancilla"."""
+    blocks = np.asarray(rho, dtype=complex).reshape(np.shape(rho)[:-2] + (2, 2, 2, 2))
+    return np.einsum({"system": "...asat->...st", "ancilla": "...asbs->...ab"}[keep], blocks)
+
+
+def entropy_oracle(rho):
+    """Von Neumann entropy in bits, -sum lambda log2 lambda over the
+    eigenvalues above 1e-12; a float, or an array for a stack."""
+    w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    w = np.where(w > 1e-12, w, 1.0)   # 1 log 1 = 0
+    val = -np.sum(w * np.log2(w), axis=-1)
+    return float(val) if val.ndim == 0 else val
+
+
 def qubit_mle_oracle(records) -> np.ndarray:
     """Exact maximum-likelihood qubit state for counts in the bases H, V, P+
     and P- = (H - iV)/sqrt2, solved per Bloch coordinate.

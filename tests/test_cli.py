@@ -637,6 +637,17 @@ class TestFailureRecords:
           for argv in (["distinguishability", "--a", "0.5"], ["scaling"], ["powerlaw", "--a", "1"],
                        ["embed"], ["tomography", "--a", "0.5"],
                        ["compile", "--variant", "full12", "--a", "0.5"])),
+        # counts must be positive; text that is no integer cannot be parsed
+        (["distinguishability", "--a", "0.5", "--points", "0"], 2,
+         "points: must be an integer > 0, got '0'"),
+        (["tomography", "--a", "0.5", "--shots", "-3"], 2, "shots: must be an integer > 0, got '-3'"),
+        (["compile", "--variant", "full12", "--a", "0.5", "--restarts", "0"], 2,
+         "restarts: must be an integer > 0, got '0'"),
+        (["distinguishability", "--a", "0.5", "--points", "2.5"], 2, "points: cannot parse '2.5'"),
+        # D(t) compares two initial states; tomography reconstructs one
+        (["distinguishability", "--a", "0.5", "--initial", "H,V,R"], 2,
+         "initial: expected two comma-separated states, got 'H,V,R'"),
+        (["tomography", "--a", "0.5", "--state", "H,V"], 2, "state: expected one state, got 'H,V'"),
         # the power-law window must hold 3 points of the planned grid
         *((["powerlaw", "--a", "1.0", *flags], 2, f"window: window {window} holds {n} points; "
                                                   "need >= 3")

@@ -11,13 +11,13 @@ from ptsim.models import Family, HamiltonianSpec, build_hamiltonian
 from ptsim.optics import (
     AngleSolution,
     DecompositionVariant,
+    _CHAINS,
     _realize_with_jacobian,
     _residual_and_jacobian,
     build_g1,
     build_g2,
     compile_single_qubit,
     compile_two_qubit,
-    free_angle_names,
     hwp,
     loss_full,
     loss_simplified,
@@ -35,7 +35,7 @@ TWO = DecompositionVariant.TWO_QUBIT
 
 
 def angles_of(variant, values):
-    return dict(zip(free_angle_names(variant), values))
+    return dict(zip(_CHAINS[variant].names, values))
 
 
 def realize(variant, angles):
@@ -136,7 +136,7 @@ class TestRealizeSingle:
     @pytest.mark.parametrize("variant", [FULL, SYM, PTS])
     def test_contraction(self, variant):
         rng = np.random.default_rng(10)
-        n = len(free_angle_names(variant))
+        n = len(_CHAINS[variant].names)
         for _ in range(100):
             angles = angles_of(variant, rng.uniform(-np.pi, np.pi, n))
             assert np.linalg.norm(realize_single(variant, angles), 2) <= 1 + 1e-12
@@ -153,13 +153,13 @@ class TestChains:
                "phi5", "phi6", "theta5", "theta6", "nu5", "nu6")),
     ], ids=lambda x: x.value if isinstance(x, DecompositionVariant) else "")
     def test_free_angles_in_the_order_light_meets_them(self, variant, names):
-        assert free_angle_names(variant) == names
+        assert _CHAINS[variant].names == names
 
     @pytest.mark.parametrize("variant", list(DecompositionVariant))
     def test_each_free_angle_listed_once_and_read(self, variant):
         # a listed name the circuit never reads would be a free angle with a
         # zero Jacobian column; one it reads but does not list a KeyError
-        names, read = free_angle_names(variant), set()
+        names, read = _CHAINS[variant].names, set()
 
         class Recording(dict):
             def __getitem__(self, name):
@@ -174,7 +174,7 @@ class TestChains:
     def test_product_is_realized_matrix(self, variant):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            x = rng.uniform(-np.pi, np.pi, len(free_angle_names(variant)))
+            x = rng.uniform(-np.pi, np.pi, len(_CHAINS[variant].names))
             angles = angles_of(variant, x)
             realized = realize(variant, angles)
             np.testing.assert_array_equal(_realize_with_jacobian(variant, x)[0], realized)
@@ -186,7 +186,7 @@ class TestChains:
         # 6,000 draws like these; a wrong or missing term is off by order one
         rng = np.random.default_rng(seed)
         dim = 4 if variant is TWO else 2
-        x = rng.uniform(-np.pi, np.pi, len(free_angle_names(variant)))
+        x = rng.uniform(-np.pi, np.pi, len(_CHAINS[variant].names))
         target = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         if zero_target:
             target[:] = 0   # z = 0 at every x: the branch that fixes p = 1
