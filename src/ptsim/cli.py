@@ -207,14 +207,17 @@ def _spec_meta(spec: HamiltonianSpec) -> dict:
     return {"family": spec.family.value, "a": spec.a, "c": spec.c}
 
 
-def _check_powerlaw(v) -> list:
-    """The exponent fit's window must hold enough points of the planned grid."""
-    if "grid" in v:
-        try:
-            window_mask(v["grid"], v["window"])
-        except InvalidWindow as exc:
-            return [f"window: {exc}"]
+def _window_violations(key: str, grid, window) -> list:
+    """A fit window must hold enough points of the planned grid."""
+    try:
+        window_mask(grid, window)
+    except InvalidWindow as exc:
+        return [f"{key}: {exc}"]
     return []
+
+
+def _check_powerlaw(v) -> list:
+    return _window_violations("window", v["grid"], v["window"]) if "grid" in v else []
 
 
 def _run_distinguishability(v, seed, out):
@@ -231,8 +234,10 @@ def _run_distinguishability(v, seed, out):
         summary += f" tau_theory={regime.timescale:.6g}"
     try:
         summary += f" T_fit={fit_recurrence_time(series).parameter:.6g}"
-    except (NoOscillation, ValueError) as exc:
+    except NoOscillation as exc:
         return f"{summary} no-recurrence ({exc}) -> {out}"
+    except ValueError as exc:   # the grid is too short or uneven for the fit to run
+        return f"{summary} fit-not-run ({exc}) -> {out}"
     if regime.kind == "unbroken":
         summary += f" T_theory={regime.timescale:.6g}"
     return f"{summary} -> {out}"
@@ -243,17 +248,26 @@ _SCALING = {"unbroken": (0.2, 0.5, 0.8, 0.9), "broken": (1.1, 1.25, 1.5, 2.0)}
 
 
 def _check_scaling(v) -> list:
+    """Plans each a's row once: its grid, and when broken its window (4 tau, 12 tau)."""
     regime, points = v["regime"], v["points"]
     if regime is None:
         return []
     v["a"] = v["a"] or _SCALING[regime]
-    violations = []
+    violations, v["rows"] = [], []
     for a in v["a"]:
-        kind = _parse("a", a, lambda x: _pt_regime(x).kind, violations)
+        found = _parse("a", a, _pt_regime, violations)
         if a == 0:
             violations.append(f"a: {a} makes H Hermitian, so D(t) is constant and has no timescale")
-        elif kind not in (None, regime):   # None: w^2 overflows, already recorded
-            violations.append(f"a: {a} is in the {kind} regime, not the {regime} one")
+        elif found is not None and found.kind != regime:   # None: w^2 overflows, recorded
+            violations.append(f"a: {a} is in the {found.kind} regime, not the {regime} one")
+        elif found is not None and points is not None:
+            spec, tau = HamiltonianSpec(Family.PT, a), found.timescale
+            if regime == "unbroken":
+                grid, window = default_time_grid(spec, points), None
+            else:
+                grid, window = np.linspace(0.0, 13 * tau, points), (4 * tau, 12 * tau)
+                violations += _window_violations("points", grid, window)
+            v["rows"].append((a, spec, grid, window, tau))
     if regime == "unbroken" and points is not None and points < MIN_RECURRENCE_POINTS:
         violations.append(f"points: the recurrence fit needs >= {MIN_RECURRENCE_POINTS}, "
                           f"got {points}")
@@ -261,23 +275,16 @@ def _check_scaling(v) -> list:
 
 
 def _run_scaling(v, seed, out):
-    regime, points, ((k1, k2), labels) = v["regime"], v["points"], v["initial"]
+    regime, ((k1, k2), labels) = v["regime"], v["initial"]
     rho1, rho2 = pure_state(k1), pure_state(k2)
     rows = []
-    for a in v["a"]:
-        spec = HamiltonianSpec(Family.PT, a)
-        theory = classify_regime(spec).timescale
-        if regime == "unbroken":
-            grid = default_time_grid(spec, points)
-            fit = fit_recurrence_time(distinguishability_series(spec, rho1, rho2, grid))
-        else:
-            grid = np.linspace(0.0, 13 * theory, points)
-            series = distinguishability_series(spec, rho1, rho2, grid)
-            fit = fit_relaxation_time(series, (4 * theory, 12 * theory))
+    for a, spec, grid, window, theory in v["rows"]:
+        series = distinguishability_series(spec, rho1, rho2, grid)
+        fit = fit_relaxation_time(series, window) if window else fit_recurrence_time(series)
         rows.append((a, fit.parameter, theory))
     name = "T" if regime == "unbroken" else "tau"
     meta = {"experiment": "scaling", "regime": regime, "initial": "|".join(labels),
-            "points": points, "seed": seed}
+            "points": v["points"], "seed": seed}
     write_csv(out, meta, ["a", f"{name}_fit", f"{name}_theory"], rows)
     return f"regime={regime} {len(rows)} points -> {out}"
 

@@ -15,7 +15,6 @@ from .qcore import ID2, as_density_matrix, evolve_ket, propagator
 TRACE_FLOOR = 1e-300
 _LOG_TRACE_FLOOR = np.log(TRACE_FLOOR)
 _LN2 = np.log(2.0)
-DEFAULT_POINTS = 512
 MIN_RECURRENCE_POINTS = 64   # fewest samples fit_recurrence_time accepts
 
 
@@ -133,7 +132,7 @@ def distinguishability_series(spec: HamiltonianSpec, rho1, rho2, times) -> TimeS
     return TimeSeries(times=ts, values=vals)
 
 
-def default_time_grid(spec: HamiltonianSpec, points: int = DEFAULT_POINTS) -> np.ndarray:
+def default_time_grid(spec: HamiltonianSpec, points: int) -> np.ndarray:
     """Sampling grid matched to the regime: four periods when unbroken, eight
     relaxation times when broken (as the no-symmetry family is at every a > 0
     with c != 0), a logarithmic grid at the exceptional point."""

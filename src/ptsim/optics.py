@@ -377,28 +377,18 @@ def _compile(target, variant, restarts, seed, success_residual):
 
 
 def realize_single(variant, angles: dict) -> np.ndarray:
-    """Matrix realized by a single-qubit variant at the given angles."""
+    """Matrix realized by a single-qubit variant at the given angles; refuses two-qubit."""
     variant = DecompositionVariant(variant)
     if variant is DecompositionVariant.TWO_QUBIT:
-        raise ValueError("use realize_two_qubit for the two-qubit variant")
-    return _realize(variant, np.array([angles[n] for n in _CHAINS[variant].names], dtype=float))
-
-
-def realize_two_qubit(angles: dict) -> np.ndarray:
-    """Layered two-qubit circuit from named angles; delta75 and delta86 only at pi/4."""
-    variant = DecompositionVariant.TWO_QUBIT
-    for name, held in _HELD_ANGLES[variant].items():
-        if angles.get(name, held) != held:
-            raise ValueError(
-                f"{name} = {angles[name]!r}, but the two-qubit circuit holds it at pi/4")
+        raise ValueError("realize_single realizes single-qubit variants only")
     return _realize(variant, np.array([angles[n] for n in _CHAINS[variant].names], dtype=float))
 
 
 def compile_single_qubit(
     target,
     variant,
-    restarts: int = 50,
-    seed: int | None = None,
+    restarts: int,
+    seed: int,
     success_residual: float = SUCCESS_RESIDUAL,
 ) -> AngleSolution:
     """Find wave-plate angles realizing a passive single-qubit operator.
@@ -420,8 +410,8 @@ def compile_single_qubit(
 
 def compile_two_qubit(
     target,
-    restarts: int = 50,
-    seed: int | None = None,
+    restarts: int,
+    seed: int,
     success_residual: float = SUCCESS_RESIDUAL,
 ) -> AngleSolution:
     """Find angles for the layered two-qubit circuit realizing a unitary.

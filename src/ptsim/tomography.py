@@ -100,7 +100,7 @@ def born_probabilities(rho, bases) -> np.ndarray:
     return np.clip(np.trace(r @ projs, axis1=1, axis2=2).real, 0.0, 1.0)
 
 
-def simulate_counts(probs, shots: int, seed: int, labels=None) -> list:
+def simulate_counts(probs, shots: int, seed: int, labels) -> list:
     """Independent binomial counts for each basis, deterministic in the seed."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -109,9 +109,7 @@ def simulate_counts(probs, shots: int, seed: int, labels=None) -> list:
         raise ValueError(f"probabilities must be 1-D, got shape {p.shape}")
     if np.any((p < 0) | (p > 1)):
         raise ValueError("probabilities must lie in [0, 1]")
-    if labels is None:
-        labels = [str(i) for i in range(len(p))]
-    elif len(labels) != len(p):
+    if len(labels) != len(p):
         raise DimMismatch(f"{len(labels)} labels for {len(p)} probabilities")
     rng = np.random.default_rng(seed)
     counts = rng.binomial(shots, p)

@@ -20,7 +20,6 @@ from ptsim.embedding import (
     build_h_tot,
     embed_initial,
     entanglement_entropy_series,
-    evolve_embedded,
     mutual_information_series,
     postselect_pt,
 )

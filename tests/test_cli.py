@@ -17,7 +17,7 @@ from ptsim.cli import EXPERIMENTS, _run_seed, load_config, main, write_csv
 from ptsim.dynamics import distinguishability_series
 from ptsim.errors import ConfigError
 from ptsim.models import Family, HamiltonianSpec
-from ptsim.optics import realize_two_qubit
+from ptsim.optics import _CHAINS, DecompositionVariant, _realize
 from ptsim.qcore import KET_H, KET_V, mat_exp, pure_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -61,6 +61,15 @@ class TestDistinguishability:
         assert code == 0
         printed = capsys.readouterr().out
         assert "no-recurrence (" in printed and "grid step 5.49889 " in printed
+
+    def test_too_short_grid_says_the_fit_did_not_run(self, tmp_path, capsys):
+        # D(t) recurs at a = 0.5 with T = 3.6276; this line said no-recurrence
+        code = main(["distinguishability", "--a", "0.5", "--points", "10",
+                     "--out", str(tmp_path / "d.csv")])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert " fit-not-run (need at least 64 samples, got 10) -> " in printed
+        assert "no-recurrence" not in printed
 
     @pytest.mark.parametrize("t_max", [[], ["--t-max", "50"]], ids=["default", "uniform"])
     def test_no_fit_at_the_exceptional_point(self, t_max, tmp_path, capsys):
@@ -154,6 +163,13 @@ class TestScaling:
         _, _, rows = read_csv(out)
         for a_str, t_fit, t_theory in rows:
             assert float(t_fit) == pytest.approx(float(t_theory), rel=1e-4)
+
+    def test_broken_regime_runs_at_its_points_floor(self, tmp_path):
+        # 6 points on 13 tau put 3 in the fit window (4 tau, 12 tau); 5 put 2
+        out = tmp_path / "s.csv"
+        assert main(["scaling", "--regime", "broken", "--points", "6", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert header == ["a", "tau_fit", "tau_theory"] and len(rows) == 4
 
     def test_unresolved_peaks_fail_naming_the_step(self, tmp_path, capsys):
         code = main(["scaling", "--a", "0.99999", "--out", str(tmp_path / "s.csv")])
@@ -273,7 +289,9 @@ class TestCompile:
         assert record["delta75"] == record["delta86"] == "0.78539816339744828"
         target = np.exp(1j * float(record["global_phase"])) * mat_exp(
             embedding.build_h_tot(0.5), 0.5)
-        rebuilt = np.linalg.norm(realize_two_qubit(angles) - target)
+        two = DecompositionVariant.TWO_QUBIT
+        realized = _realize(two, np.array([angles[name] for name in _CHAINS[two].names]))
+        rebuilt = np.linalg.norm(realized - target)
         assert abs(rebuilt - float(record["residual"])) <= 1e-9
 
     def test_default_record_path_is_text(self, tmp_path, monkeypatch):
@@ -610,9 +628,12 @@ class TestFailureRecords:
         (["run", "--config", "DUPLICATE"], 2, "config line 3: duplicate key 'a'"),
         (["distinguishability", "--config", "EMBED"], 2,
          "experiment: config says 'embed' but the subcommand is 'distinguishability'"),
-        # tau = 2/3: the fit window (4 tau, 12 tau) holds 2 of the 4 samples
-        (["scaling", "--regime", "broken", "--a", "1.25", "--points", "4"], 1,
-         "window (2.66667, 8) holds 2 points; need >= 3"),
+        # tau = 2/3: the fit window (4 tau, 12 tau) holds 2 of the 4 samples on
+        # 13 tau, and 2 of 5; these runs exited 1 with InvalidWindow
+        (["scaling", "--regime", "broken", "--a", "1.25", "--points", "4"], 2,
+         "points: window (2.66667, 8) holds 2 points; need >= 3"),
+        (["scaling", "--regime", "broken", "--a", "1.1", "--points", "5"], 2,
+         "points: window (4.36436, 13.0931) holds 2 points; need >= 3"),
         # time options: finite, t >= 0, t-min and t-max > 0, and a strictly
         # increasing grid (5e-324 over 511 steps rounds every step to 0)
         *((["distinguishability", "--a", "0.5", "--t-max", raw], 2,

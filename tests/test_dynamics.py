@@ -365,7 +365,7 @@ class TestRecurrenceFitWindowEdges:
     def test_excursion_cut_by_the_window_is_not_a_coarse_step(self, family, pair, a):
         spec = HamiltonianSpec(family, a)
         k1, k2 = (pure_state(polarization_ket(label)) for label in pair)
-        series = distinguishability_series(spec, k1, k2, default_time_grid(spec))
+        series = distinguishability_series(spec, k1, k2, default_time_grid(spec, 512))
         assert abs(fit_recurrence_time(series).parameter - recurrence_period(a)) <= 1e-3
 
 
@@ -459,7 +459,7 @@ class TestKetRoute:
 
     @pytest.mark.parametrize("family", [Family.PT, Family.TIME_REVERSAL])
     def test_every_pair_at_the_exceptional_point_against_mpmath(self, family):
-        times = default_time_grid(HamiltonianSpec(family, 1.0))   # geomspace(0.1, 200, 512)
+        times = default_time_grid(HamiltonianSpec(family, 1.0), 512)   # geomspace(0.1, 200, 512)
         H = build_hamiltonian(HamiltonianSpec(family, 1.0))
         with mpmath.workdps(40):
             Us = [mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(H.tolist())) for t in times]
@@ -605,11 +605,11 @@ class TestRegimeBehaviors:
         assert abs(hv.values.min() - diag.values.min()) > 1e-3
 
     def test_default_grids(self):
-        assert len(default_time_grid(pt(0.5))) == 512
-        assert default_time_grid(pt(0.5))[-1] == pytest.approx(4 * recurrence_period(0.5))
-        assert default_time_grid(pt(1.25))[-1] == pytest.approx(8 / (2 * np.sqrt(1.25**2 - 1)))
-        ep = default_time_grid(pt(1.0))
+        assert len(default_time_grid(pt(0.5), 512)) == 512
+        assert default_time_grid(pt(0.5), 512)[-1] == pytest.approx(4 * recurrence_period(0.5))
+        assert default_time_grid(pt(1.25), 512)[-1] == pytest.approx(8 / (2 * np.sqrt(1.25**2 - 1)))
+        ep = default_time_grid(pt(1.0), 512)
         assert ep[0] == pytest.approx(0.1) and ep[-1] == pytest.approx(200.0)
         # nosym relaxes with tau = 1/(2 |Im w|), w^2 = 1 + (c + ia)^2
-        nosym = default_time_grid(HamiltonianSpec(Family.NO_SYMMETRY, 0.5, 0.5))
+        nosym = default_time_grid(HamiltonianSpec(Family.NO_SYMMETRY, 0.5, 0.5), 512)
         assert nosym[-1] == pytest.approx(8 / (2 * np.sqrt(1 + (0.5 + 0.5j) ** 2).imag))

@@ -13,7 +13,6 @@ from ptsim.embedding import (
     build_h_tot,
     embed_initial,
     entanglement_entropy_series,
-    evolve_embedded,
     mutual_information_series,
     postselect_pt,
 )
@@ -25,6 +24,7 @@ from ptsim.qcore import (
     KET_V,
     SIGMA_X,
     SIGMA_Z,
+    mat_exp,
     pure_state,
     trace_distance,
 )
@@ -82,28 +82,29 @@ class TestEmbedInitial:
 
 @pytest.mark.parametrize("call, shape", [
     (lambda: embed_initial(np.ones(3) / np.sqrt(3), 0.5), "(3,)"),
-    (lambda: evolve_embedded(0.5, KET_H, 0.1), "(2,)"),
     (lambda: postselect_pt(np.ones(5)), "(5,)"),
-], ids=["embed_initial", "evolve_embedded", "postselect_pt"])
+], ids=["embed_initial", "postselect_pt"])
 def test_wrong_length_refused_naming_the_shape(call, shape):
     with pytest.raises(ValueError, match=f"got (shape )?{re.escape(shape)}$"):
         call()
 
 
-class TestEvolveEmbedded:
+class TestUnitaryEvolution:
+    """The 4x4 route: e^{-i H_tot t} applied to the embedded state."""
+
     def test_time_zero(self):
         psi0 = embed_initial(KET_H, 0.5)
-        np.testing.assert_allclose(evolve_embedded(0.5, psi0, 0.0), psi0, atol=1e-12)
+        np.testing.assert_allclose(mat_exp(build_h_tot(0.5), 0.0) @ psi0, psi0, atol=1e-12)
 
     def test_decoupled_ancilla_is_static(self):
         psi0 = embed_initial(KET_H, 0.0)
         rho_a0 = partial_trace_oracle(pure_state(psi0), "ancilla")
         for t in (0.5, 1.7, 3.0):
-            rho_a = partial_trace_oracle(pure_state(evolve_embedded(0.0, psi0, t)), "ancilla")
+            rho_a = partial_trace_oracle(pure_state(mat_exp(build_h_tot(0.0), t) @ psi0), "ancilla")
             np.testing.assert_allclose(rho_a, rho_a0, atol=1e-12)
 
     def test_norm_preserved(self):
-        psi = evolve_embedded(0.5, embed_initial(KET_H, 0.5), 0.7)
+        psi = mat_exp(build_h_tot(0.5), 0.7) @ embed_initial(KET_H, 0.5)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
@@ -120,7 +121,7 @@ class TestPostselection:
     @pytest.mark.parametrize("t", [0.3, 1.1, 2.9])
     def test_dilation_reproduces_direct_evolution(self, t):
         a = 0.5
-        psi = evolve_embedded(a, embed_initial(KET_H, a), t)
+        psi = mat_exp(build_h_tot(a), t) @ embed_initial(KET_H, a)
         direct = evolve(HamiltonianSpec(Family.PT, a), pure_state(KET_H), t)
         assert trace_distance(postselect_pt(psi), direct) < 1e-10
 
@@ -131,7 +132,7 @@ class TestPostselection:
                 spec = HamiltonianSpec(Family.PT, a)
                 T = np.pi / np.sqrt(1 - a * a)
                 for t in np.linspace(0.0, 2 * T, 16):
-                    got = postselect_pt(evolve_embedded(a, psi0, t))
+                    got = postselect_pt(mat_exp(build_h_tot(a), t) @ psi0)
                     want = evolve(spec, pure_state(chi), t)
                     assert trace_distance(got, want) < 1e-9
 
@@ -197,7 +198,7 @@ class TestTwoByTwoRoute:
     @given(st.floats(0.0, 0.999), _kets, _grids)
     def test_entropy_and_information_match_4x4_route(self, a, chi, times):
         psi0 = embed_initial(chi, a)
-        rho = [pure_state(evolve_embedded(a, psi0, t)) for t in times]
+        rho = [pure_state(mat_exp(build_h_tot(a), t) @ psi0) for t in times]
         s_sys = np.array([entropy_oracle(partial_trace_oracle(r, "system")) for r in rho])
         s_anc = np.array([entropy_oracle(partial_trace_oracle(r, "ancilla")) for r in rho])
         s_tot = np.array([entropy_oracle(r) for r in rho])

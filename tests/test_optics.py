@@ -12,6 +12,7 @@ from ptsim.optics import (
     AngleSolution,
     DecompositionVariant,
     _CHAINS,
+    _realize,
     _realize_with_jacobian,
     _residual_and_jacobian,
     build_g1,
@@ -23,7 +24,6 @@ from ptsim.optics import (
     loss_simplified,
     qwp,
     realize_single,
-    realize_two_qubit,
     solution_record,
 )
 from ptsim.qcore import ID2, KET_H, SIGMA_X, SIGMA_Z, mat_exp, pure_state, trace_distance
@@ -39,7 +39,9 @@ def angles_of(variant, values):
 
 
 def realize(variant, angles):
-    return realize_two_qubit(angles) if variant is TWO else realize_single(variant, angles)
+    if variant is not TWO:
+        return realize_single(variant, angles)
+    return _realize(TWO, np.array([angles[name] for name in _CHAINS[TWO].names]))
 
 
 def written_out(variant, a):
@@ -253,7 +255,7 @@ class TestCompileSingleQubit:
 
     def test_not_passive(self):
         with pytest.raises(NotPassive):
-            compile_single_qubit(2 * ID2, FULL)
+            compile_single_qubit(2 * ID2, FULL, restarts=1, seed=0)
 
     def test_round_trip_smoke(self):
         rng = np.random.default_rng(77)
@@ -307,7 +309,7 @@ class TestCompileTwoQubit:
         target = taylor_expm_oracle(build_h_tot(0.5), 0.5)
         sol = compile_two_qubit(target, restarts=60, seed=7)
         assert sol.success and sol.residual < 1e-6
-        realized = realize_two_qubit(sol.angles)
+        realized = realize(TWO, sol.angles)
         aligned = np.exp(1j * sol.global_phase) * target
         assert np.linalg.norm(realized - aligned) < 1e-6
 
@@ -318,7 +320,7 @@ class TestCompileTwoQubit:
 
     def test_not_unitary(self):
         with pytest.raises(NotUnitary):
-            compile_two_qubit(0.5 * np.eye(4))
+            compile_two_qubit(0.5 * np.eye(4), restarts=1, seed=0)
 
     @pytest.mark.parametrize("t, seed", [(0.3, 3), (0.7, 7), (1.5, 15)])
     def test_criterion_8_targets_converge_fast(self, t, seed):
@@ -344,22 +346,15 @@ class TestCompileTwoQubit:
             assert sol.success and sol.residual < 1e-6, i
             assert sol.angles["delta75"] == sol.angles["delta86"] == np.pi / 4
             aligned = np.exp(1j * sol.global_phase) * target
-            for realized in (realize_two_qubit(sol.angles), written_out(TWO, sol.angles)):
+            for realized in (realize(TWO, sol.angles), written_out(TWO, sol.angles)):
                 assert abs(np.linalg.norm(realized - aligned) - sol.residual) <= 1e-12, i
-
-    @pytest.mark.parametrize("name", ["delta75", "delta86"])
-    def test_unrealizable_held_angle_rejected(self, name):
-        angles = {**angles_of(TWO, np.zeros(20)), "delta75": np.pi / 4, "delta86": np.pi / 4}
-        realize_two_qubit(angles)
-        with pytest.raises(ValueError, match=f"^{name} = 0.3, "):
-            realize_two_qubit({**angles, name: 0.3})
 
 
 class TestInputChecks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)], ids=["nan", "inf", "-inf j"])
     @pytest.mark.parametrize("dim, compile_target", [
-        (2, lambda target: compile_single_qubit(target, FULL)),
-        (4, compile_two_qubit),
+        (2, lambda target: compile_single_qubit(target, FULL, restarts=1, seed=0)),
+        (4, lambda target: compile_two_qubit(target, restarts=1, seed=0)),
     ], ids=["2x2", "4x4"])
     def test_non_finite_target_named(self, dim, compile_target, bad):
         # NaN used to end in a LinAlgError from the norm check, inf in the
@@ -370,8 +365,8 @@ class TestInputChecks:
             compile_target(target)
 
     @pytest.mark.parametrize("compile_target", [
-        lambda restarts: compile_single_qubit(np.eye(2), FULL, restarts=restarts),
-        lambda restarts: compile_two_qubit(np.eye(4), restarts=restarts),
+        lambda restarts: compile_single_qubit(np.eye(2), FULL, restarts=restarts, seed=0),
+        lambda restarts: compile_two_qubit(np.eye(4), restarts=restarts, seed=0),
     ], ids=["full12", "two-qubit"])
     def test_restarts_below_one(self, compile_target):
         for restarts in (0, -3):
@@ -379,9 +374,11 @@ class TestInputChecks:
                 compile_target(restarts)
 
     @pytest.mark.parametrize("call, says", [
-        (lambda: compile_single_qubit(np.eye(3), FULL), r"^expected a 2x2 target, got \(3, 3\)$"),
-        (lambda: compile_single_qubit(np.eye(2), TWO), "^use compile_two_qubit for the two-qubit"),
-        (lambda: realize_single(TWO, {}), "^use realize_two_qubit for the two-qubit"),
+        (lambda: compile_single_qubit(np.eye(3), FULL, restarts=1, seed=0),
+         r"^expected a 2x2 target, got \(3, 3\)$"),
+        (lambda: compile_single_qubit(np.eye(2), TWO, restarts=1, seed=0),
+         "^use compile_two_qubit for the two-qubit"),
+        (lambda: realize_single(TWO, {}), "^realize_single realizes single-qubit variants only$"),
     ], ids=["3x3 target", "compile two-qubit", "realize two-qubit"])
     def test_single_qubit_refuses_what_it_cannot_realize(self, call, says):
         with pytest.raises(ValueError, match=says):

@@ -19,7 +19,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ptsim.errors import DimMismatch, InvalidDensityMatrix, InvalidMatrix
-from ptsim.models import Family, HamiltonianSpec, build_hamiltonian
+from ptsim.models import Family, HamiltonianSpec, build_h_tot, build_hamiltonian
 from ptsim.qcore import (
     EIGENVALUE_FLOOR,
     ID2,
@@ -303,9 +303,9 @@ class TestPartialTrace:
         np.testing.assert_allclose(partial_trace_oracle(bell, "ancilla"), ID2 / 2, atol=1e-14)
 
     def test_trace_preserved_on_embedded_state(self):
-        from ptsim.embedding import embed_initial, evolve_embedded
+        from ptsim.embedding import embed_initial
 
-        psi = evolve_embedded(0.5, embed_initial(KET_H, 0.5), 0.7)
+        psi = mat_exp(build_h_tot(0.5), 0.7) @ embed_initial(KET_H, 0.5)
         rho = pure_state(psi)
         assert np.trace(partial_trace_oracle(rho, "system")).real == pytest.approx(1.0, abs=1e-12)
 

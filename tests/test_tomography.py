@@ -111,33 +111,33 @@ class TestBornProbabilities:
 
 class TestSimulateCounts:
     def test_certain_outcomes(self):
-        records = simulate_counts([1.0, 0.0], 100, seed=1)
+        records = simulate_counts([1.0, 0.0], 100, seed=1, labels=["H", "V"])
         assert records[0].counts == 100
         assert records[1].counts == 0
 
     def test_deterministic_in_seed(self):
-        a = simulate_counts([0.3, 0.7], 500, seed=42)
-        b = simulate_counts([0.3, 0.7], 500, seed=42)
+        a = simulate_counts([0.3, 0.7], 500, seed=42, labels=["H", "V"])
+        b = simulate_counts([0.3, 0.7], 500, seed=42, labels=["H", "V"])
         assert [r.counts for r in a] == [r.counts for r in b]
-        c = simulate_counts([0.3, 0.7], 500, seed=43)
+        c = simulate_counts([0.3, 0.7], 500, seed=43, labels=["H", "V"])
         assert [r.counts for r in a] != [r.counts for r in c]
 
     def test_binomial_concentration(self):
         # at 18000 shots the frequency stays within +-0.03 of p = 0.5
         # (an 8-sigma band) for every one of 1000 seeds
         for seed in range(1000):
-            (rec,) = simulate_counts([0.5], 18000, seed=seed)
+            (rec,) = simulate_counts([0.5], 18000, seed=seed, labels=["H"])
             assert 0.47 <= rec.counts / rec.shots <= 0.53
 
     def test_records_carry_seed(self):
-        (rec,) = simulate_counts([0.5], 10, seed=7)
+        (rec,) = simulate_counts([0.5], 10, seed=7, labels=["H"])
         assert rec.seed == 7 and rec.shots == 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simulate_counts([0.5], 0, seed=1)
+            simulate_counts([0.5], 0, seed=1, labels=["H"])
         with pytest.raises(ValueError):
-            simulate_counts([1.5], 10, seed=1)
+            simulate_counts([1.5], 10, seed=1, labels=["H"])
         with pytest.raises(ValueError):
             CountRecord("H", counts=11, shots=10)
 
@@ -153,7 +153,7 @@ class TestSimulateCounts:
     def test_probabilities_must_be_one_dimensional(self, probs, shape):
         # a 2-D array used to end in numpy's raw TypeError
         with pytest.raises(ValueError, match=f"^probabilities must be 1-D, got shape {shape}$"):
-            simulate_counts(probs, 10, 1)
+            simulate_counts(probs, 10, 1, labels=["H", "V"])
 
     @pytest.mark.parametrize("shots", [0, -5])
     def test_record_without_shots_refused(self, shots):
